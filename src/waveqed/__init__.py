@@ -3,8 +3,9 @@
 Closed-form transition-operator solutions for the four-level collective
 basis (ground, doubly excited, symmetric, antisymmetric), with
 direction-resolved emission rates and radiation spectra, cross-checked
-by an independent numerical oracle (ODE integration of the equations of
-motion plus brute-force double-time quadrature).
+by an independent numerical oracle (the Lindblad generator of the
+waveguide master equation, integrated and exactly propagated, plus
+brute-force double-time quadrature).
 
 Conventions: hbar = 1, the qubit frequency Omega is the frequency unit,
 Gamma = gamma_ratio * Omega is the single-qubit decay rate into the
@@ -62,7 +63,6 @@ from .transition_operator import (
     TransitionOperatorState,
     closed_form_state,
     coherence_elements,
-    ode_rhs,
     population_elements,
 )
 
@@ -109,6 +109,5 @@ __all__ = [
     "TransitionOperatorState",
     "closed_form_state",
     "coherence_elements",
-    "ode_rhs",
     "population_elements",
 ]

@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -112,16 +110,6 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("WAVEQED_THREADS", "").strip()
-    if raw:
-        count = int(raw)
-        if count < 1:
-            raise ValueError(f"WAVEQED_THREADS must be a positive integer, got {raw!r}")
-        return count
-    return min(8, os.cpu_count() or 1)
 
 
 def parse_density_file(path) -> DickeDensity:
@@ -250,9 +238,7 @@ def _sweep_rows(cfg: RunConfig) -> tuple:
     k0ds = np.linspace(cfg.k0d_start, cfg.k0d_stop, cfg.k0d_count)
     builder = _rate_rows if cfg.quantity == "rate" else _spectrum_rows
     header = RATE_HEADER if cfg.quantity == "rate" else SPECTRUM_HEADER
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        blocks = list(pool.map(lambda k: builder(cfg, float(k)), k0ds))
-    return header, [row for block in blocks for row in block]
+    return header, [row for k0d in k0ds for row in builder(cfg, float(k0d))]
 
 
 # ---------------------------------------------------------------------------

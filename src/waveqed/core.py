@@ -103,21 +103,18 @@ class SystemParams:
         frequency (Gamma/Omega), dimensionless, > 0.
     k0d: effective inter-qubit distance in radians (k0*d).  All rate
         formulas are 2pi-periodic in it.
-    omega_unit: convention flag; True pins Omega = 1 (the only
-        convention implemented).
     """
 
     gamma_ratio: float
     k0d: float
-    omega_unit: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.gamma_ratio > 0):
-            raise ValueError(f"gamma_ratio must be > 0, got {self.gamma_ratio}")
-        if not (self.k0d >= 0):
-            raise ValueError(f"k0d must be >= 0, got {self.k0d}")
-        if not self.omega_unit:
-            raise ValueError("only the Omega = 1 unit convention is implemented")
+        if not (math.isfinite(self.gamma_ratio) and self.gamma_ratio > 0):
+            raise ValueError(
+                f"gamma_ratio must be finite and > 0, got {self.gamma_ratio}"
+            )
+        if not (math.isfinite(self.k0d) and self.k0d >= 0):
+            raise ValueError(f"k0d must be finite and >= 0, got {self.k0d}")
 
     @property
     def gamma(self) -> float:
@@ -154,6 +151,35 @@ def collective_rates(params: SystemParams) -> CollectiveRates:
     )
 
 
+def _check_density(
+    m: np.ndarray,
+    trace_tol: float = 1e-8,
+    herm_tol: float = 1e-10,
+    psd_tol: float = 1e-10,
+) -> None:
+    """Raise ValueError naming the first broken rule of a 4x4 density matrix.
+
+    The rules, in order: trace = 1, Hermiticity, positive semidefiniteness.
+    """
+    trace = m.trace()
+    if abs(trace - 1.0) > trace_tol:
+        raise ValueError(
+            f"density matrix trace must equal 1 within {trace_tol:g}, got {trace:.12g}"
+        )
+    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    if herm_dev > herm_tol:
+        raise ValueError(
+            f"density matrix must be Hermitian within {herm_tol:g}, "
+            f"max |rho - rho^dag| = {herm_dev:.3g}"
+        )
+    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+    if min_eig < -psd_tol:
+        raise ValueError(
+            f"density matrix must be positive semidefinite within {psd_tol:g}, "
+            f"smallest eigenvalue = {min_eig:.3g}"
+        )
+
+
 @dataclass(frozen=True)
 class DickeDensity:
     """Two-qubit density matrix in the (G, E, S, A) basis.
@@ -177,13 +203,11 @@ class DickeDensity:
     pAE: complex = 0j
 
     def __post_init__(self) -> None:
-        trace = self.pEE + self.pSS + self.pAA + self.pGG
-        if abs(trace - 1.0) > 1e-8:
-            raise ValueError(f"density matrix trace must be 1, got {trace!r}")
         for name in ("pEE", "pSS", "pAA", "pGG"):
             v = getattr(self, name)
             if not -1e-9 <= v <= 1.0 + 1e-9:
                 raise ValueError(f"population {name} out of [0, 1]: {v!r}")
+        _check_density(self.matrix())
 
     @property
     def pAS(self) -> complex:
@@ -228,23 +252,7 @@ class DickeDensity:
             raise ValueError(
                 f"density matrix must be 4x4 in the (G, E, S, A) basis, got shape {m.shape}"
             )
-        trace = m.trace()
-        if abs(trace - 1.0) > trace_tol:
-            raise ValueError(
-                f"density matrix trace must equal 1 within {trace_tol:g}, got {trace:.12g}"
-            )
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > herm_tol:
-            raise ValueError(
-                f"density matrix must be Hermitian within {herm_tol:g}, "
-                f"max |rho - rho^dag| = {herm_dev:.3g}"
-            )
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if min_eig < -psd_tol:
-            raise ValueError(
-                f"density matrix must be positive semidefinite within {psd_tol:g}, "
-                f"smallest eigenvalue = {min_eig:.3g}"
-            )
+        _check_density(m, trace_tol, herm_tol, psd_tol)
         return cls(
             pGG=float(m[0, 0].real),
             pEE=float(m[1, 1].real),

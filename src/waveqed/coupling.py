@@ -8,6 +8,9 @@ wave forms are the standard Markovian result; they are accurate once the
 separation exceeds about a quarter wavelength, and no retardation
 correction is applied below that.
 
+The oracle builds its Lindblad generator from these matrices: gamma_nm
+weights the dissipator, and alpha_nm enters the Hamiltonian with a minus
+sign, H = Omega sum_n s_n^+ s_n - sum_{n != m} alpha_nm s_n^+ s_m.
 Spectra and rates elsewhere in the package are specialized to N = 2;
 the matrices here are general-N because they cost nothing more.
 """

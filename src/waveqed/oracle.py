@@ -1,20 +1,32 @@
 """Independent numerical routes to every closed-form result.
 
-Two cross-checks live here, deliberately sharing no solution algebra
-with the analytic modules:
+Everything here starts from one object, the adjoint (Heisenberg-picture)
+Lindblad generator of the standard waveguide master equation
+(Lalumiere et al., PRA 88, 043806, 2013), built from the coupling
+matrices gamma_nm, alpha_nm of coupling.py and the bare lowering
+operators of the two qubits:
 
-* integrate_transition_odes drives the transition-operator equations of
-  motion with an adaptive Runge-Kutta integrator.  It only ever touches
-  ode_rhs (the differential equations), never the closed-form solutions.
+    dX/dt = i[H, X] + sum_nm gamma_nm (s_n^+ X s_m - {s_n^+ s_m, X}/2),
+    H = Omega sum_n s_n^+ s_n - sum_{n != m} alpha_nm s_n^+ s_m.
 
-* quadrature_spectrum rebuilds the emission spectrum from first
-  principles: two-time qubit correlations via the quantum regression
-  rule, assembled from the ODE trajectory, then a brute-force 2D
-  trapezoid over (tau, tau').  The kernel only depends on the time lag
-  through the propagated raising operator and on the base time through
-  the evolved density matrix, so the double sum collapses to prefix
-  sums over the base index -- an O(n) reformulation of the O(n^2)
-  product, exact to rounding (verified against the naive double loop).
+With row-major vec, vec(A X B) = kron(A, B.T) @ vec(X), this is a 16x16
+complex matrix L, and the propagator Phi(t) = exp(L t) carries every
+vacuum-averaged transition operator: column 4i+j of Phi(t) is
+vec(<P_ij(t)>).  No closed-form coefficient is used on the way.
+
+* integrate_transition_odes drives dPhi/dt = L Phi with an adaptive
+  integrator and reads the operator coefficients off Phi.
+
+* quadrature_spectrum rebuilds the emission spectrum from two-time
+  qubit correlations via the quantum regression rule, then a
+  brute-force 2D trapezoid over (tau, tau').  On the uniform grid the
+  propagator is exact: one matrix exponential exp(L h) (Al-Mohy &
+  Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) and repeated
+  products.  The kernel only depends on the time lag through the
+  propagated raising operator and on the base time through the evolved
+  density matrix, so the double sum collapses to prefix sums over the
+  base index -- an O(n) reformulation of the O(n^2) product, exact to
+  rounding (verified against the naive double loop).
 
 Times handed to these functions are absolute (units of 1/Omega), like
 everywhere else in the package; the config horizons T and t_max are in
@@ -29,29 +41,19 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .core import (
     BASIS,
     BASIS_INDEX,
+    OMEGA,
     DickeDensity,
-    DickeState,
     Direction,
     SystemParams,
     collective_rates,
 )
-from .transition_operator import (
-    _COH_SLOTS,
-    _POP_SLOTS,
-    STATE_DIM,
-    TransitionOperatorState,
-    closed_form_state,
-    ode_rhs,
-)
-
-_G = DickeState.G
-_E = DickeState.E
-_S = DickeState.S
-_A = DickeState.A
+from .coupling import QubitArray, coupling_matrices
+from .transition_operator import COHERENCE_SUPPORT, TransitionOperatorState
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -109,39 +111,55 @@ class QuadratureConfig:
             raise ValueError(f"n_steps must be at least 64, got {self.n_steps}")
 
 
-def _slot_label(index: int) -> str:
-    """Human-readable name of one component of the flattened state vector."""
-    if index < len(_POP_SLOTS):
-        i, m = _POP_SLOTS[index]
-        return f"<P_{i.value}{i.value}> on |{m.value}><{m.value}|"
-    pair_index, part = divmod(index - len(_POP_SLOTS), 2)
-    (i, j), (dm, dn) = _COH_SLOTS[pair_index]
-    return (
-        f"{'Im' if part else 'Re'} <P_{i.value}{j.value}> "
-        f"on |{dm.value}><{dn.value}|"
-    )
+def _adjoint_generator(params: SystemParams) -> np.ndarray:
+    """16x16 matrix L with d vec(X)/dt = L @ vec(X) for Heisenberg operators X.
 
-
-def _generator(params: SystemParams) -> np.ndarray:
-    """Real matrix L with d(state vector)/dt = L @ (state vector).
-
-    ode_rhs is linear in the state, so probing it with unit vectors
-    recovers the generator exactly; the integrator then works on plain
-    vectors without rebuilding dict states at every step.
+    Row-major vec throughout, so vec(A X B) = kron(A, B.T) @ vec(X).
+    The coherent exchange alpha_nm enters H with a minus sign.
     """
-    L = np.empty((STATE_DIM, STATE_DIM))
-    for col in range(STATE_DIM):
-        probe = np.zeros(STATE_DIM)
-        probe[col] = 1.0
-        state = TransitionOperatorState.from_vector(0.0, probe)
-        L[:, col] = ode_rhs(state, params).to_vector()
-    return L
+    cm = coupling_matrices(QubitArray((0.0, params.k0d)), params)
+    lowering = (_SM1, _SM2)
+    eye = np.eye(4)
+    ham = OMEGA * sum(sm.conj().T @ sm for sm in lowering)
+    gen = np.zeros((16, 16), dtype=complex)
+    for n, sn in enumerate(lowering):
+        for m, sm in enumerate(lowering):
+            a, b = sn.conj().T, sm
+            ab = a @ b
+            if n != m:
+                ham = ham - cm.alpha_nm[n, m] * ab
+            gen += cm.gamma_nm[n, m] * (
+                np.kron(a, b.T) - 0.5 * np.kron(ab, eye) - 0.5 * np.kron(eye, ab.T)
+            )
+    return gen + 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+
+
+def _state_from_propagator(t: float, phi: np.ndarray) -> TransitionOperatorState:
+    """Operator coefficients at time t, read off the propagator Phi(t).
+
+    Column 4i+j of Phi is vec(<P_ij(t)>), so elems[i, j, m, n] is the
+    weight of the dyad |m><n| inside <P_ij(t)>.
+    """
+    elems = phi.T.reshape(4, 4, 4, 4)
+    idx = BASIS_INDEX
+    pops = {
+        i: {m: float(elems[idx[i], idx[i], idx[m], idx[m]].real) for m in BASIS}
+        for i in BASIS
+    }
+    coh = {
+        (i, j): {
+            (m, n): complex(elems[idx[i], idx[j], idx[m], idx[n]])
+            for (m, n) in support
+        }
+        for (i, j), support in COHERENCE_SUPPORT.items()
+    }
+    return TransitionOperatorState(t=t, populations=pops, coherences=coh)
 
 
 def integrate_transition_odes(
     params: SystemParams, config: OdeConfig, t_grid
 ) -> list:
-    """Numerically integrate all independent elements over t_grid.
+    """Numerically integrate the propagator of all elements over t_grid.
 
     t_grid holds absolute times, sorted and nonnegative.  Returns one
     TransitionOperatorState per grid time.
@@ -158,56 +176,41 @@ def integrate_transition_odes(
             f"t_grid reaches Gamma*t = {params.gamma * t[-1]:.6g}, "
             f"past the configured horizon t_max = {config.t_max:g}"
         )
-    y0 = TransitionOperatorState.initial().to_vector()
     if t[-1] == 0.0:
-        return [TransitionOperatorState.from_vector(ti, y0.copy()) for ti in t]
-    L = _generator(params)
+        return [_state_from_propagator(float(ti), np.eye(16)) for ti in t]
+    # real block form [Re Phi; Im Phi], so every solve_ivp method applies
+    L = _adjoint_generator(params)
+    real_gen = np.block([[L.real, -L.imag], [L.imag, L.real]])
     sol = solve_ivp(
-        lambda _t, y: L @ y,
+        lambda _t, y: (real_gen @ y.reshape(32, 16)).ravel(),
         (0.0, float(t[-1])),
-        y0,
+        np.vstack([np.eye(16), np.zeros((16, 16))]).ravel(),
         t_eval=t,
         method=config.method,
         rtol=config.rel_tol,
         atol=config.abs_tol,
     )
     if not sol.success:
-        y_last = sol.y[:, -1] if sol.y.size else y0
         t_last = sol.t[-1] if sol.t.size else 0.0
-        worst = int(np.argmax(np.abs(L @ y_last)))
         raise OracleError(
-            f"ODE integration stalled at Gamma*t = {params.gamma * t_last:.6g} "
-            f"(largest-derivative element: {_slot_label(worst)}): {sol.message}"
+            f"ODE integration stalled at Gamma*t = {params.gamma * t_last:.6g}: "
+            f"{sol.message}"
         )
+    phis = sol.y[:256].T + 1j * sol.y[256:].T
     return [
-        TransitionOperatorState.from_vector(float(ti), sol.y[:, j])
-        for j, ti in enumerate(sol.t)
+        _state_from_propagator(float(ti), phi.reshape(16, 16))
+        for ti, phi in zip(sol.t, phis)
     ]
 
 
-def _raising_combos(mats: dict) -> tuple:
-    """Vacuum-averaged raised operators of qubits 1 and 2 at one time lag.
-
-    Built from the adjoint coherence elements; these are the only
-    ingredients of the two-time correlations for one excitation.
-    """
-    sp1 = _SQ2 * (
-        mats[(_S, _G)] - mats[(_A, _G)] + mats[(_E, _S)] + mats[(_E, _A)]
-    )
-    sp2 = _SQ2 * (
-        mats[(_S, _G)] + mats[(_A, _G)] + mats[(_E, _S)] - mats[(_E, _A)]
-    )
-    return sp1, sp2
+def _raised(phi: np.ndarray, lowering: np.ndarray) -> np.ndarray:
+    """Heisenberg-evolved raising operator(s), Phi @ vec(s^+), as 4x4 matrices."""
+    return (phi @ lowering.conj().T.ravel()).reshape(phi.shape[:-2] + (4, 4))
 
 
-def _evolved_density(rho0: DickeDensity, mats: dict) -> np.ndarray:
-    """rho_S at the base time, from <P_ql> elements and the initial state."""
-    rho0m = rho0.matrix()
-    out = np.empty((4, 4), dtype=complex)
-    for l in BASIS:
-        for q in BASIS:
-            out[BASIS_INDEX[l], BASIS_INDEX[q]] = np.sum(rho0m.T * mats[(q, l)])
-    return out
+def _evolved_vec(rho0: DickeDensity, phi: np.ndarray) -> np.ndarray:
+    """rv with rv[..., 4q + l] = <l|rho(t)|q> = Tr(rho0 <P_ql(t)>)."""
+    return rho0.matrix().T.ravel() @ phi
 
 
 def correlation_function(
@@ -234,48 +237,39 @@ def correlation_function(
         )
     if tau < tau_prime:
         return complex(correlation_function(m, n, tau_prime, tau, rho0, params)).conjugate()
-    lag_mats = closed_form_state(params, tau - tau_prime).element_matrices()
-    base_mats = closed_form_state(params, tau_prime).element_matrices()
-    sp1, sp2 = _raising_combos(lag_mats)
-    sp = sp1 if n == 1 else sp2
+    L = _adjoint_generator(params)
+    sp = _raised(expm(L * (tau - tau_prime)), _SM1 if n == 1 else _SM2)
     sm = _SM1 if m == 1 else _SM2
-    rho_tau = _evolved_density(rho0, base_mats)
+    rho_tau = _evolved_vec(rho0, expm(L * tau_prime)).reshape(4, 4).T
     return complex(np.trace(rho_tau @ (sp @ sm)))
 
 
-@lru_cache(maxsize=4)
+# one entry: a build is cheap now, and callers reuse the tables of one
+# spacing across states and directions before moving on to the next
+@lru_cache(maxsize=1)
 def _kernel_tables(gamma_ratio: float, k0d: float, n_eff: int, h: float) -> tuple:
-    """ODE-backed ingredients of the 2D quadrature on a uniform grid.
+    """Exact propagator and correlation ingredients on a uniform grid.
 
-    Returns (Mstack, P11, P22, P12, P21): Mstack maps the flattened
-    initial density matrix to the evolved one at every base time, and
-    the P-stacks are the four raised-times-lowering operator products
-    at every lag, flattened row-major.
+    Returns (phi, P11, P22, P12, P21): phi[j] = exp(L j h) is the
+    propagator at every grid time, and the P-stacks are the four
+    raised-times-lowering operator products at every lag, flattened
+    row-major.
     """
     params = SystemParams(gamma_ratio=gamma_ratio, k0d=k0d)
-    t_grid = np.arange(n_eff + 1) * h
-    config = OdeConfig(t_max=params.gamma * float(t_grid[-1]) * (1.0 + 1e-9))
-    traj = integrate_transition_odes(params, config, t_grid)
-    npts = n_eff + 1
-    mstack = np.empty((npts, 16, 16), dtype=complex)
-    p11 = np.empty((npts, 16), dtype=complex)
-    p22 = np.empty((npts, 16), dtype=complex)
-    p12 = np.empty((npts, 16), dtype=complex)
-    p21 = np.empty((npts, 16), dtype=complex)
-    for j, state in enumerate(traj):
-        mats = state.element_matrices()
-        for q in BASIS:
-            for l in BASIS:
-                row = BASIS_INDEX[q] * 4 + BASIS_INDEX[l]
-                mstack[j, row, :] = mats[(q, l)].T.ravel()
-        sp1, sp2 = _raising_combos(mats)
-        p11[j] = (sp1 @ _SM1).ravel()
-        p22[j] = (sp2 @ _SM2).ravel()
-        p12[j] = (sp1 @ _SM2).ravel()
-        p21[j] = (sp2 @ _SM1).ravel()
-    for arr in (mstack, p11, p22, p12, p21):
+    step = expm(_adjoint_generator(params) * h)
+    phi = np.empty((n_eff + 1, 16, 16), dtype=complex)
+    phi[0] = np.eye(16)
+    for j in range(n_eff):
+        np.matmul(phi[j], step, out=phi[j + 1])
+    sp1, sp2 = _raised(phi, _SM1), _raised(phi, _SM2)
+    products = [
+        (sp @ sm).reshape(n_eff + 1, 16)
+        for sp, sm in ((sp1, _SM1), (sp2, _SM2), (sp1, _SM2), (sp2, _SM1))
+    ]
+    tables = (phi, *products)
+    for arr in tables:
         arr.flags.writeable = False
-    return mstack, p11, p22, p12, p21
+    return tables
 
 
 def _effective_grid(params: SystemParams, config: QuadratureConfig) -> tuple:
@@ -301,12 +295,12 @@ def _lag_sums(rho0: DickeDensity, params: SystemParams, direction: Direction,
               config: QuadratureConfig) -> tuple:
     """Per-lag weighted sums SS_d and the equal-time diagonal of the kernel."""
     n_eff, h = _effective_grid(params, config)
-    mstack, p11, p22, p12, p21 = _kernel_tables(
+    phi, p11, p22, p12, p21 = _kernel_tables(
         params.gamma_ratio, params.k0d, n_eff, h
     )
     kd = direction.sign * params.k0d
     bv = p11 + p22 + np.exp(-1j * kd) * p12 + np.exp(1j * kd) * p21
-    rv = mstack @ rho0.matrix().ravel()
+    rv = _evolved_vec(rho0, phi)
     n = n_eff
     wts = np.full(n + 1, h)
     wts[0] = wts[-1] = 0.5 * h
@@ -359,8 +353,8 @@ def quadrature_rates(
     """(t_grid, W(t)) from the equal-time diagonal of the same kernel.
 
     The instantaneous one-direction emission rate is Gamma/2 times the
-    equal-time correlation; reusing the quadrature tables makes this an
-    ODE-backed rate oracle for free.
+    equal-time correlation; reusing the quadrature tables makes this a
+    propagator-backed rate oracle for free.
     """
     _ss, diag, h, n_eff = _lag_sums(rho0, params, direction, config)
     return np.arange(n_eff + 1) * h, diag

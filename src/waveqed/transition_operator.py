@@ -9,11 +9,10 @@ of Dicke dyads:
                                ground-excited pairs (G,A) and (G,S), a
                                second dyad fed by cascade decay.
 
-This module provides the exact closed-form coefficients and, next to
-them, the linear ODE right-hand sides those coefficients solve.  The
-ODEs are the cross-check route: the oracle integrates them numerically
-and never touches the closed forms, so the two paths share no algebra
-beyond the rate constants themselves.
+This module provides the exact closed-form coefficients and the state
+object that carries them.  It holds no equations of motion: the oracle
+derives its own from the Lindblad generator of the waveguide master
+equation, so the two routes share no algebra.
 
 Every coefficient is a function of Gamma, the collective rates
 Gamma(1 +- cos k0d), the shifted frequencies Omega +- (Gamma/2) sin k0d,
@@ -68,7 +67,7 @@ STATE_DIM = len(_POP_SLOTS) + 2 * len(_COH_SLOTS)
 
 
 def _decay_exponents(params: SystemParams) -> dict:
-    """Rate constants shared by the closed forms and the ODE system."""
+    """Rate constants of the closed forms."""
     g = params.gamma
     c, s = phase_factors(params.k0d)
     r = collective_rates(params)
@@ -241,40 +240,3 @@ def closed_form_state(params: SystemParams, t: float) -> TransitionOperatorState
         populations=population_elements(params, t),
         coherences=_independent_coherences(params, t),
     )
-
-
-def ode_rhs(
-    state: TransitionOperatorState, params: SystemParams
-) -> TransitionOperatorState:
-    """Time derivative of every independent coefficient.
-
-    These are the equations of motion the closed forms solve; they are
-    regular at every k0d (no 0/0 anywhere), which is what makes them a
-    trustworthy independent route.  The populations decouple from the
-    coherences; within the coherences only (G,A) <- (A,E) and
-    (G,S) <- (S,E) couple.
-    """
-    k = _decay_exponents(params)
-    g, gp, gm = k["g"], k["gp"], k["gm"]
-    pops = state.populations
-    dpops = {}
-    dpops[_E] = {m: -2.0 * g * pops[_E][m] for m in BASIS}
-    dpops[_S] = {m: gp * (pops[_E][m] - pops[_S][m]) for m in BASIS}
-    dpops[_A] = {m: gm * (pops[_E][m] - pops[_A][m]) for m in BASIS}
-    dpops[_G] = {m: gp * pops[_S][m] + gm * pops[_A][m] for m in BASIS}
-    coh = state.coherences
-    dcoh = {
-        (_G, _E): {d: -k["zGE"] * v for d, v in coh[(_G, _E)].items()},
-        (_A, _S): {d: -k["zAS"] * v for d, v in coh[(_A, _S)].items()},
-        (_A, _E): {d: -k["zAE"] * v for d, v in coh[(_A, _E)].items()},
-        (_S, _E): {d: -k["zSE"] * v for d, v in coh[(_S, _E)].items()},
-        (_G, _A): {
-            d: -k["zGA"] * v - gm * coh[(_A, _E)].get(d, 0.0j)
-            for d, v in coh[(_G, _A)].items()
-        },
-        (_G, _S): {
-            d: -k["zGS"] * v + gp * coh[(_S, _E)].get(d, 0.0j)
-            for d, v in coh[(_G, _S)].items()
-        },
-    }
-    return TransitionOperatorState(t=state.t, populations=dpops, coherences=dcoh)

@@ -131,8 +131,7 @@ def test_json_payload(tmp_path):
     assert payload["samples"][0]["Gamma_t"] == "0"
 
 
-def test_sweep_blocks_and_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("WAVEQED_THREADS", "2")
+def test_sweep_blocks_and_threads(tmp_path):
     args = [
         "sweep", "--initial", "S", "--quantity", "rate",
         "--k0d-start", str(0.5 * PI), "--k0d-stop", str(TWO_PI),
@@ -141,7 +140,7 @@ def test_sweep_blocks_and_threads(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()  # worker-pool order is pinned
+    assert a.read_bytes() == b.read_bytes()
     _, rows = _rows(a.read_text())
     assert len(rows) == 15
     k0ds = [r[4] for r in rows]
@@ -272,14 +271,3 @@ def test_usage_errors_exit_1(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
-def test_sweep_rejects_bad_thread_count(monkeypatch, capsys, raw):
-    monkeypatch.setenv("WAVEQED_THREADS", raw)
-    assert main([
-        "sweep", "--initial", "S",
-        "--k0d-start", "1.0", "--k0d-stop", "2.0", "--k0d-count", "2",
-        "--t-points", "3",
-    ]) == 1
-    assert capsys.readouterr().err.startswith("error:")

@@ -68,18 +68,20 @@ def test_phase_factors_near_but_not_at_seam():
         {"gamma_ratio": -0.05, "k0d": 1.0},
         {"gamma_ratio": 0.05, "k0d": -0.1},
         {"gamma_ratio": float("nan"), "k0d": 1.0},
+        {"gamma_ratio": math.inf, "k0d": 1.0},
+        {"gamma_ratio": 0.05, "k0d": math.inf},
     ],
 )
 def test_system_params_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # the k0d cases all carry a valid gamma_ratio
+    field = "k0d" if kwargs["gamma_ratio"] == GAMMA else "gamma_ratio"
+    with pytest.raises(ValueError, match=field):
         SystemParams(**kwargs)
 
 
 def test_system_params_gamma_and_unit_flag():
     p = SystemParams(gamma_ratio=GAMMA, k0d=1.0)
     assert p.gamma == GAMMA * OMEGA
-    with pytest.raises(ValueError):
-        SystemParams(gamma_ratio=GAMMA, k0d=1.0, omega_unit=False)
 
 
 @pytest.mark.parametrize(
@@ -131,6 +133,9 @@ def test_density_validation_trace_and_population_range():
         DickeDensity(pEE=0.5)
     with pytest.raises(ValueError, match="population"):
         DickeDensity(pEE=1.5, pGG=-0.5)
+    # populations and trace fine, but |pSA|^2 > pSS * pAA
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DickeDensity(pSS=0.5, pAA=0.5, pSA=10j)
 
 
 def test_from_matrix_names_the_violated_rule():
