@@ -32,7 +32,6 @@ from .core import (
 )
 from .coupling import CouplingMatrices, QubitArray, coupling_matrices
 from .observables import (
-    RateSample,
     emission_rate,
     radiated_energy,
     transition_probability,
@@ -62,7 +61,6 @@ from .transition_operator import (
     STATE_DIM,
     TransitionOperatorState,
     closed_form_state,
-    coherence_elements,
     population_elements,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "CouplingMatrices",
     "QubitArray",
     "coupling_matrices",
-    "RateSample",
     "emission_rate",
     "radiated_energy",
     "transition_probability",
@@ -108,6 +105,5 @@ __all__ = [
     "STATE_DIM",
     "TransitionOperatorState",
     "closed_form_state",
-    "coherence_elements",
     "population_elements",
 ]

@@ -13,7 +13,11 @@ here evaluate the same quantities through sinch-type series, uniformly
 accurate for any complex arguments including exact coincidence.
 
 t = math.inf is accepted wherever the integral converges (real parts of
-the relevant exponents > 0) and returns the exact limit.
+the relevant exponents > 0) and returns the exact limit.  sinch and dexp
+broadcast over numpy arrays, and so do the t = inf limits of jint,
+jint_dz and jint_dw (rational in their arguments); the finite-t series
+of phi, phi_k, mint and jint_dw branch on the size of their arguments
+and take complex scalars.
 """
 
 from __future__ import annotations
@@ -27,15 +31,18 @@ INF = math.inf
 _FACT = [float(math.factorial(k)) for k in range(40)]
 
 
-def sinch(x: complex) -> complex:
-    """sinh(x)/x for complex scalar x, stable near 0."""
-    if abs(x) < 0.1:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))
-    return np.sinh(x) / x
+def sinch(x):
+    """sinh(x)/x for complex x, scalar or array, exactly 1 at x = 0.
+
+    Below |x| = 1e-8 the x^2/6 term is under half an ulp, so shifting
+    numerator and denominator by 1 there returns 1 without a branch and
+    without the overflow of a complex division by a subnormal x.
+    """
+    z = abs(x) < 1e-8
+    return (np.sinh(x) + z) / (x + z)
 
 
-def dexp(x: complex, y: complex, t: float) -> complex:
+def dexp(x: complex, y: complex, t):
     """(e^{-xt} - e^{-yt})/(x - y); equals -t e^{-(x+y)t/2} sinch((x-y)t/2)."""
     m = 0.5 * (x + y)
     v = 0.5 * (x - y) * t

@@ -87,11 +87,9 @@ def phase_factors(k0d: float) -> tuple[float, float]:
     c = math.cos(k0d)
     s = math.sin(k0d)
     if abs(s) < _TRIG_SNAP:
-        s = 0.0
-    if abs(c - 1.0) < _TRIG_SNAP:
-        c = 1.0
-    elif abs(c + 1.0) < _TRIG_SNAP:
-        c = -1.0
+        # both snap together: a cos snapped alone would close a channel
+        # whose coherence sin k0d still drives
+        return math.copysign(1.0, c), 0.0
     return c, s
 
 
@@ -135,20 +133,37 @@ class CollectiveRates:
 def collective_rates(params: SystemParams) -> CollectiveRates:
     """Collective decay rates Gamma(1 +- cos k0d) and shifts Omega +- (Gamma/2) sin k0d.
 
-    gamma_minus and omega_minus are computed as complements so the sum
-    rules gamma_plus + gamma_minus = 2*Gamma and omega_plus +
-    omega_minus = 2*Omega hold bit-exactly, not just to rounding.
+    The smaller rate comes from the half angle, 2*Gamma*cos^2(k0d/2) or
+    2*Gamma*sin^2(k0d/2), so a nearly dark channel keeps its full
+    relative precision where 1 +- cos k0d would cancel; the larger rate
+    and omega_minus are computed as complements so the sum rules
+    gamma_plus + gamma_minus = 2*Gamma and omega_plus + omega_minus =
+    2*Omega hold bit-exactly, not just to rounding.
     """
     g = params.gamma
     c, s = phase_factors(params.k0d)
-    gamma_plus = g * (1.0 + c)
+    if c < 0.0:
+        gamma_plus = 0.0 if s == 0.0 else 2.0 * g * math.cos(0.5 * params.k0d) ** 2
+        gamma_minus = 2.0 * g - gamma_plus
+    else:
+        gamma_minus = 0.0 if s == 0.0 else 2.0 * g * math.sin(0.5 * params.k0d) ** 2
+        gamma_plus = 2.0 * g - gamma_minus
     omega_plus = OMEGA + 0.5 * g * s
     return CollectiveRates(
         gamma_plus=gamma_plus,
-        gamma_minus=2.0 * g - gamma_plus,
+        gamma_minus=gamma_minus,
         omega_plus=omega_plus,
         omega_minus=2.0 * OMEGA - omega_plus,
     )
+
+
+def everywhere(mask) -> bool:
+    """True when a comparison holds for a scalar or for every array entry.
+
+    Scalars skip the numpy reduction, which costs more than a scalar
+    call of some closed forms spends on its arithmetic.
+    """
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _check_density(

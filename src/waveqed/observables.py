@@ -10,11 +10,13 @@ with s_dir = +-sin k0d flipping sign between the two propagation
 directions.  Only the last term is direction sensitive; "Total" is the
 sum over both directions, which doubles the symmetric part and cancels
 the interference.  All rate curves reported by the CLI divide by Gamma.
+
+Rates and transition probabilities take t as a scalar or as an array
+of times and return a float or an array shaped like t; one call
+computes a whole curve.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,46 +29,34 @@ from .core import (
     collective_rates,
     phase_factors,
 )
-from .transition_operator import coherence_elements, population_elements
+from .transition_operator import population_elements
 
 _E = DickeState.E
 _S = DickeState.S
 _A = DickeState.A
 
 
-@dataclass(frozen=True)
-class RateSample:
-    """One point of an emission-rate curve."""
-
-    t: float
-    value: float
-    direction: object  # Direction or TOTAL
-    initial: DickeDensity
-
-
 def transition_probability(
-    initial: DickeState, final: DickeState, params: SystemParams, t: float
-) -> float:
+    initial: DickeState, final: DickeState, params: SystemParams, t
+):
     """Probability that a system prepared in |initial> is found in |final>.
 
     Read off the closed-form transition-operator coefficients: the
     weight of the |initial><initial| dyad inside <P_final,final(t)>.
+    t may be an array of times.
     """
-    pops = population_elements(params, t)
-    value = pops[final][initial]
-    if -1e-12 < value < 0.0:
-        value = 0.0  # rounding dust from the feed terms near t = 0
-    return float(value)
+    value = population_elements(params, t)[final][initial]
+    # rounding dust from the feed terms near t = 0 becomes +0.0
+    dust = (-1e-12 < value) & (value < 0.0)
+    return value - value * dust
 
 
-def emission_rate(
-    rho0: DickeDensity, params: SystemParams, t: float, direction=TOTAL
-) -> float:
+def emission_rate(rho0: DickeDensity, params: SystemParams, t, direction=TOTAL):
     """Photon emission rate at time t into one direction, or their sum.
 
     Linear in the five contributing density-matrix entries (pEE, pSS,
     pAA and the S-A coherence); every other entry is dark.  A ground
-    state simply returns 0.
+    state simply returns 0.  t may be an array of times.
     """
     if direction is TOTAL:
         return emission_rate(rho0, params, t, Direction.FORWARD) + emission_rate(
@@ -74,8 +64,6 @@ def emission_rate(
         )
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
-    if t < 0.0:
-        raise ValueError(f"emission rate is defined for t >= 0, got {t}")
     g = params.gamma
     r = collective_rates(params)
     pops = population_elements(params, t)
@@ -86,9 +74,10 @@ def emission_rate(
     _c, s = phase_factors(params.k0d)
     s_dir = direction.sign * s
     if s_dir != 0.0 and rho0.pSA != 0:
-        coh_as = coherence_elements(params, t)[(_A, _S)][(_A, _S)]
-        w -= g * s_dir * float(np.imag(coh_as * rho0.pSA))
-    return float(w)
+        # coefficient of |A><S| inside <P_AS(t)>
+        coh_as = np.exp(-g * (1.0 + 1j * s) * t)
+        w -= g * s_dir * np.imag(coh_as * rho0.pSA)
+    return w
 
 
 def radiated_energy(

@@ -12,6 +12,11 @@ Reported values are the dimensionless S-bar(omega): the physical
 spectral density with the waveguide quantization prefactor dropped.
 The interference weights enter at the resonant modes k = +-k0, so the
 direction only flips the sign in front of sin k0d.
+
+omega may be an array: the t -> infinity limit is rational in omega, so
+spectral_density returns a whole spectrum from one call.  Finite t
+needs a scalar omega, because the finite-t series branch on the size
+of their arguments.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .core import (
     Direction,
     SystemParams,
     collective_rates,
+    everywhere,
     phase_factors,
 )
 
@@ -51,7 +57,7 @@ class Detunings:
     delta_minus: float
 
 
-def detunings(params: SystemParams, omega: float) -> Detunings:
+def detunings(params: SystemParams, omega) -> Detunings:
     """delta_+- = omega - Omega_+-; their difference is -Gamma sin k0d."""
     r = collective_rates(params)
     return Detunings(
@@ -63,12 +69,13 @@ def photon_number(
     rho0: DickeDensity,
     params: SystemParams,
     direction: Direction,
-    omega: float,
+    omega,
     t: float,
-) -> float:
+):
     """Dimensionless occupancy of the (direction, omega) mode at time t.
 
-    t = math.inf is allowed and gives the spectral density.  Weights
+    t = math.inf is allowed and gives the spectral density, for a scalar
+    omega or an array of them; finite t needs a scalar omega.  Weights
     whose channel factor is exactly zero are skipped, which keeps the
     dark-point geometries (cos k0d = +-1) free of 0 * divergent-limit
     products: the stable integrals never see the degenerate argument.
@@ -77,12 +84,16 @@ def photon_number(
         raise ValueError(f"direction must be a Direction, got {direction!r}")
     if not t >= 0.0:
         raise ValueError(f"photon number is defined for t >= 0, got {t}")
+    if not everywhere(abs(omega) < INF):  # False for NaN too
+        raise ValueError(f"omega must be finite, got {omega}")
+    if t != INF and np.ndim(omega) != 0:
+        raise ValueError("finite t needs a scalar omega; only t = inf takes an array")
     g = params.gamma
-    c, s = phase_factors(params.k0d)
-    a = 1.0 + c
-    b = 1.0 - c
+    _c, s = phase_factors(params.k0d)
     r = collective_rates(params)
     gp, gm = r.gamma_plus, r.gamma_minus
+    a = gp / g  # 1 + cos k0d, without cancellation
+    b = gm / g  # 1 - cos k0d
     d = detunings(params, omega)
     dp, dm = d.delta_plus, d.delta_minus
     sk = direction.sign * s
@@ -90,7 +101,7 @@ def photon_number(
     z2 = 1j * dp + 0.5 * gp
     z4 = 1j * dp + 0.5 * gm + g
     z5 = 1j * dm + 0.5 * gm
-    total = 0.0 + 0.0j
+    total = 0.0 * dp + 0j  # +0 complex, shaped like omega
     if rho0.pEE != 0.0:
         kernel_e = 0.0 + 0.0j
         if a != 0.0:
@@ -109,28 +120,32 @@ def photon_number(
     if rho0.pSA != 0 and sk != 0.0:
         total += rho0.pSA * 1j * sk * jint(z5, g * (1.0 + 1j * s), t)
         total += rho0.pAS * (-1j) * sk * jint(z2, g * (1.0 - 1j * s), t)
-    return float(2.0 * np.real(g * total))
+    return 2.0 * np.real(g * total)
 
 
 def spectral_density(
-    rho0: DickeDensity, params: SystemParams, direction: Direction, omega: float
-) -> float:
-    """Long-time radiation spectral density S-bar(omega) for one direction."""
+    rho0: DickeDensity, params: SystemParams, direction: Direction, omega
+):
+    """Long-time radiation spectral density S-bar(omega) for one direction.
+
+    omega may be a scalar or an array; the result has its shape.
+    """
     return photon_number(rho0, params, direction, omega, INF)
 
 
-def single_qubit_baseline(params: SystemParams, omega: float) -> tuple:
+def single_qubit_baseline(params: SystemParams, omega) -> tuple:
     """Reference curves for one qubit alone in the same guide.
 
     Returns (spectral density at omega, rate function W1(t)): a
     Lorentzian of full width Gamma centered on the bare resonance, and
     the per-direction exponential decay rate (Gamma/2) e^{-Gamma t}.
+    Both take scalars or arrays.
     """
     g = params.gamma
     value = g / ((omega - OMEGA) ** 2 + 0.25 * g * g)
 
-    def rate(t: float) -> float:
-        return 0.5 * g * math.exp(-g * t)
+    def rate(t):
+        return 0.5 * g * np.exp(-g * t)
 
     return value, rate
 

@@ -10,7 +10,10 @@ of Dicke dyads:
                                second dyad fed by cascade decay.
 
 This module provides the exact closed-form coefficients and the state
-object that carries them.  It holds no equations of motion: the oracle
+object that carries them.  The population coefficients broadcast over
+an array of times, which is all the emission rates and transition
+probabilities need; the coherences and the state object hold one
+scalar time.  It holds no equations of motion: the oracle
 derives its own from the Lindblad generator of the waveguide master
 equation, so the two routes share no algebra.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import dexp
+from ._stable import INF, dexp
 from .core import (
     BASIS,
     BASIS_INDEX,
@@ -36,6 +39,7 @@ from .core import (
     DickeState,
     SystemParams,
     collective_rates,
+    everywhere,
     phase_factors,
 )
 
@@ -66,103 +70,74 @@ _COH_SLOTS = tuple(
 STATE_DIM = len(_POP_SLOTS) + 2 * len(_COH_SLOTS)
 
 
-def _decay_exponents(params: SystemParams) -> dict:
-    """Rate constants of the closed forms."""
-    g = params.gamma
-    c, s = phase_factors(params.k0d)
-    r = collective_rates(params)
-    return {
-        "g": g,
-        "c": c,
-        "s": s,
-        "gp": r.gamma_plus,
-        "gm": r.gamma_minus,
-        "zGE": 2j * OMEGA + g,
-        "zAS": g * (1.0 + 1j * s),
-        "zAE": 1j * r.omega_plus + 0.5 * r.gamma_minus + g,
-        "zSE": 1j * r.omega_minus + 0.5 * r.gamma_plus + g,
-        "zGA": 1j * r.omega_minus + 0.5 * r.gamma_minus,
-        "zGS": 1j * r.omega_plus + 0.5 * r.gamma_plus,
-    }
-
-
-def _check_time(t: float) -> float:
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"transition operators are defined for t >= 0, got {t}")
+def _check_time(t):
+    # one comparison pair covers negative, infinite and NaN entries alike
+    if not everywhere((t >= 0.0) & (t < INF)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     return t
 
 
-def population_elements(params: SystemParams, t: float) -> dict:
+def population_elements(params: SystemParams, t) -> dict:
     """Coefficients of each |m><m| inside <P_ii(t)> for all i, m.
 
-    Returns {i: {m: coefficient}} with all 16 entries present.  The
-    columns sum to 1 over i for every dyad m (completeness of the
-    transition operators), which the tests assert.
+    Returns {i: {m: coefficient}} with all 16 entries present, each a
+    float for scalar t or an array shaped like t.  The columns sum to 1
+    over i for every dyad m (completeness of the transition operators),
+    which the tests assert.
     """
-    t = _check_time(t)
-    k = _decay_exponents(params)
-    g, gp, gm = k["g"], k["gp"], k["gm"]
-    a = 1.0 + k["c"]
-    b = 1.0 - k["c"]
-    u = float(np.exp(-2.0 * g * t))
-    p = float(np.exp(-gp * t))
-    m_ = float(np.exp(-gm * t))
+    _check_time(t)
+    g = params.gamma
+    r = collective_rates(params)
+    gp, gm = r.gamma_plus, r.gamma_minus
+    a = gp / g  # 1 + cos k0d, without cancellation
+    b = gm / g  # 1 - cos k0d
+    u = np.exp(-2.0 * g * t)
+    p = np.exp(-gp * t)
+    m_ = np.exp(-gm * t)
     # feeding of S and A from the doubly excited state; dexp keeps these
     # exact through the gamma_plus -> 2*Gamma (and gamma_minus -> 0)
     # degeneracies at k0d = n*pi
-    feed_s = float(np.real(-a * g * dexp(2.0 * g, gp, t)))
-    feed_a = float(np.real(-b * g * dexp(2.0 * g, gm, t)))
-    zero = {_G: 0.0, _E: 0.0, _S: 0.0, _A: 0.0}
+    feed_s = np.real(-a * g * dexp(2.0 * g, gp, t))
+    feed_a = np.real(-b * g * dexp(2.0 * g, gm, t))
+    zero = 0.0 * u
+    one = zero + 1.0
     return {
-        _E: {**zero, _E: u},
-        _S: {**zero, _S: p, _E: feed_s},
-        _A: {**zero, _A: m_, _E: feed_a},
+        _E: {_G: zero, _E: u, _S: zero, _A: zero},
+        _S: {_G: zero, _E: feed_s, _S: p, _A: zero},
+        _A: {_G: zero, _E: feed_a, _S: zero, _A: m_},
         _G: {
-            _G: 1.0,
+            _G: one,
+            _E: (1.0 - u) - feed_s - feed_a,
             _S: 1.0 - p,
             _A: 1.0 - m_,
-            _E: (1.0 - u) - feed_s - feed_a,
         },
     }
 
 
 def _independent_coherences(params: SystemParams, t: float) -> dict:
     """Closed forms of the six independent off-diagonal elements."""
-    t = _check_time(t)
-    k = _decay_exponents(params)
-    gp, gm = k["gp"], k["gm"]
-    out = {
-        (_G, _E): {(_G, _E): complex(np.exp(-k["zGE"] * t))},
-        (_A, _S): {(_A, _S): complex(np.exp(-k["zAS"] * t))},
-        (_A, _E): {(_A, _E): complex(np.exp(-k["zAE"] * t))},
-        (_S, _E): {(_S, _E): complex(np.exp(-k["zSE"] * t))},
+    g = params.gamma
+    _c, s = phase_factors(params.k0d)
+    r = collective_rates(params)
+    gp, gm = r.gamma_plus, r.gamma_minus
+    z_ae = 1j * r.omega_plus + 0.5 * gm + g
+    z_se = 1j * r.omega_minus + 0.5 * gp + g
+    z_ga = 1j * r.omega_minus + 0.5 * gm
+    z_gs = 1j * r.omega_plus + 0.5 * gp
+    return {
+        (_G, _E): {(_G, _E): complex(np.exp(-(2j * OMEGA + g) * t))},
+        (_A, _S): {(_A, _S): complex(np.exp(-g * (1.0 + 1j * s) * t))},
+        (_A, _E): {(_A, _E): complex(np.exp(-z_ae * t))},
+        (_S, _E): {(_S, _E): complex(np.exp(-z_se * t))},
         (_G, _A): {
-            (_G, _A): complex(np.exp(-k["zGA"] * t)),
-            (_A, _E): complex(gm * dexp(k["zAE"], k["zGA"], t)),
+            (_G, _A): complex(np.exp(-z_ga * t)),
+            (_A, _E): complex(gm * dexp(z_ae, z_ga, t)),
         },
         (_G, _S): {
-            (_G, _S): complex(np.exp(-k["zGS"] * t)),
-            (_S, _E): complex(-gp * dexp(k["zSE"], k["zGS"], t)),
+            (_G, _S): complex(np.exp(-z_gs * t)),
+            (_S, _E): complex(-gp * dexp(z_se, z_gs, t)),
         },
     }
-    return out
-
-
-def coherence_elements(params: SystemParams, t: float) -> dict:
-    """Coefficients of <P_ij(t)>, i != j, for all 12 ordered pairs.
-
-    Returns {(i, j): {(m, n): coefficient}}.  The six conjugate elements
-    are derived from Hermiticity, (j,i) on dyad (n,m) being the complex
-    conjugate of (i,j) on (m,n).
-    """
-    ind = _independent_coherences(params, t)
-    out = dict(ind)
-    for (i, j), support in ind.items():
-        out[(j, i)] = {
-            (n, m): coef.conjugate() for (m, n), coef in support.items()
-        }
-    return out
 
 
 @dataclass(frozen=True)
@@ -177,16 +152,6 @@ class TransitionOperatorState:
     t: float
     populations: dict
     coherences: dict
-
-    @classmethod
-    def initial(cls) -> "TransitionOperatorState":
-        """The t = 0 state: every element is its own dyad with weight 1."""
-        pops = {i: {m: 1.0 if m is i else 0.0 for m in BASIS} for i in BASIS}
-        coh = {
-            pair: {dyad: 1.0 + 0.0j if dyad == pair else 0.0j for dyad in support}
-            for pair, support in COHERENCE_SUPPORT.items()
-        }
-        return cls(t=0.0, populations=pops, coherences=coh)
 
     def to_vector(self) -> np.ndarray:
         """Flatten to a real vector (populations, then Re/Im of coherences)."""
@@ -234,9 +199,9 @@ class TransitionOperatorState:
 
 
 def closed_form_state(params: SystemParams, t: float) -> TransitionOperatorState:
-    """Exact coefficients at time t, packaged as a state object."""
+    """Exact coefficients at one scalar time t, packaged as a state object."""
     return TransitionOperatorState(
-        t=_check_time(t),
+        t=float(_check_time(t)),
         populations=population_elements(params, t),
         coherences=_independent_coherences(params, t),
     )

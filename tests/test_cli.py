@@ -148,6 +148,31 @@ def test_sweep_blocks_and_threads(tmp_path):
     assert k0ds == sorted(k0ds, key=float)
 
 
+@pytest.mark.parametrize("quantity", ["rate", "spectrum"])
+def test_sweep_reads_the_density_file_once(tmp_path, monkeypatch, quantity):
+    import waveqed.cli as cli
+
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED)
+    calls = []
+    original = cli.parse_density_file
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(cli, "parse_density_file", counting)
+    assert main([
+        "sweep", "--initial", str(path), "--quantity", quantity,
+        "--k0d-start", "0", "--k0d-stop", str(TWO_PI),
+        "--t-points", "3", "--omega-points", "3", "--output", str(tmp_path / "o.csv"),
+    ]) == 0
+    assert len(calls) == 1
+    _, rows = _rows((tmp_path / "o.csv").read_text())
+    assert len(rows) == 9 * 3
+    assert {r[3] for r in rows} == {"mixed"}
+
+
 def test_validate_rates_suite_passes(capsys):
     assert main(["validate", "--suite", "rates"]) == 0
     lines = [ln for ln in capsys.readouterr().out.strip().split("\n") if ln]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -93,6 +94,23 @@ def test_collective_rates_sum_rules_bit_exact(k0d):
     assert r.omega_plus + r.omega_minus == 2.0 * OMEGA
     assert r.gamma_plus >= 0.0
     assert r.gamma_minus >= 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("delta", [1e-11, 1e-9, 1e-7, 1e-6, 1e-3])
+def test_nearly_dark_channel_keeps_its_rate(n, delta):
+    # within 1.4e-6 of n*pi, 1 +- cos k0d cancels to zero or to a few
+    # ulp while sin k0d, which drives the S-A coherence, survives
+    k0d = n * math.pi + delta
+    r = collective_rates(SystemParams(gamma_ratio=GAMMA, k0d=k0d))
+    dark = r.gamma_minus if n % 2 == 0 else r.gamma_plus
+    with mpmath.workdps(40):
+        half = mpmath.mpf(k0d) / 2
+        want = 2 * mpmath.mpf(GAMMA) * (mpmath.sin(half) if n % 2 == 0 else mpmath.cos(half)) ** 2
+    assert dark == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert r.gamma_plus + r.gamma_minus == 2.0 * GAMMA
+    c, s = phase_factors(k0d)
+    assert s != 0.0
 
 
 def test_collective_rates_special_points():

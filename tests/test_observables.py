@@ -194,3 +194,15 @@ def test_rate_argument_validation():
         emission_rate(rho0, params, 1.0, "forward")
     with pytest.raises(ValueError):
         radiated_energy(rho0, params, "Total")
+
+
+@pytest.mark.parametrize(
+    "t", [math.nan, math.inf, -1.0, np.array([0.0, 3.0, math.nan]), np.array([math.inf])]
+)
+def test_non_finite_or_negative_time_rejected(t):
+    params = _params(1.0)
+    for direction in (F, B, TOTAL):
+        with pytest.raises(ValueError, match="t must be finite"):
+            emission_rate(preset_state("eg"), params, t, direction)
+    with pytest.raises(ValueError, match="t must be finite"):
+        transition_probability(E, S, params, t)

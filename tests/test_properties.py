@@ -1,0 +1,179 @@
+"""Physics invariants over arbitrary physical states and spacings.
+
+Hypothesis draws random positive semidefinite 4x4 density matrices and
+spacings k0d, both uniform and within 1e-6 ... 1e-15 of a multiple of
+pi, where the collective channels become degenerate and the closed
+forms switch onto their snapped limits.  Every property holds for each
+draw, not only for the presets.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waveqed.core import TOTAL, DickeDensity, DickeState, Direction, SystemParams
+from waveqed.observables import emission_rate, transition_probability
+from waveqed.spectra import spectral_density
+
+GAMMA = 0.05
+F, B = Direction.FORWARD, Direction.BACKWARD
+STATES = tuple(DickeState)
+OMEGAS = 1.0 + GAMMA * np.linspace(-10.0, 10.0, 41)
+TIMES = np.linspace(0.0, 8.0, 33) / GAMMA  # Gamma*t in [0, 8]
+#: qubit exchange in the (G, E, S, A) basis: S is even, A is odd
+SWAP = np.diag([1.0, 1.0, 1.0, -1.0])
+
+# a fixed example sequence keeps the suite reproducible from run to run
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def densities(draw):
+    """rho = M M^dagger / tr, for a random complex 4x4 M."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    m = np.array(parts[:16]).reshape(4, 4) + 1j * np.array(parts[16:]).reshape(4, 4)
+    rho = m @ m.conj().T
+    trace = np.trace(rho).real
+    if trace < 1e-3:
+        rho, trace = np.eye(4, dtype=complex), 4.0
+    return rho / trace
+
+
+def near_pi():
+    """n*pi +- 10^-k for k = 6 ... 15, kept >= 0."""
+    return st.builds(
+        lambda n, k, sign: abs(n * math.pi + sign * 10.0**-k),
+        st.integers(0, 4),
+        st.integers(6, 15),
+        st.sampled_from((-1.0, 1.0)),
+    )
+
+
+SPACINGS = st.one_of(st.floats(0.0, 4.0 * math.pi), near_pi())
+
+
+def _omegas(params):
+    # the grid plus both shifted line centers, where a narrow line peaks
+    shift = 0.5 * params.gamma * math.sin(params.k0d)
+    return np.concatenate([OMEGAS, [1.0 + shift, 1.0 - shift]])
+
+
+def _assert_close(curve, reference, rel):
+    reference = np.asarray(reference, dtype=float)
+    top = float(np.max(np.abs(reference)))
+    assert np.max(np.abs(curve - reference)) <= rel * top
+
+
+def _assert_matches_loop(curve, loop, grid):
+    # one call per curve: an array shaped like the grid, equal to the
+    # scalar calls, each of which returns a float
+    assert curve.shape == grid.shape
+    assert all(isinstance(v, float) for v in loop)
+    _assert_close(curve, loop, 1e-14)
+
+
+@PROPERTY
+@given(rho=densities(), k0d=SPACINGS)
+def test_one_array_call_equals_the_scalar_loop(rho, k0d):
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    omegas = _omegas(params)
+    for direction in (F, B):
+        curve = spectral_density(state, params, direction, omegas)
+        loop = [spectral_density(state, params, direction, float(w)) for w in omegas]
+        _assert_matches_loop(curve, loop, omegas)
+    for direction in (F, B, TOTAL):
+        curve = emission_rate(state, params, TIMES, direction)
+        loop = [emission_rate(state, params, float(t), direction) for t in TIMES]
+        _assert_matches_loop(curve, loop, TIMES)
+    for initial in STATES:
+        for final in STATES:
+            curve = transition_probability(initial, final, params, TIMES)
+            loop = [transition_probability(initial, final, params, float(t)) for t in TIMES]
+            _assert_matches_loop(curve, loop, TIMES)
+
+
+@PROPERTY
+@given(rho=densities(), k0d=SPACINGS)
+def test_spectra_and_rates_are_nonnegative(rho, k0d):
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    for direction in (F, B):
+        spectrum = spectral_density(state, params, direction, _omegas(params))
+        assert spectrum.min() >= -1e-12 * np.max(np.abs(spectrum))
+        rate = emission_rate(state, params, TIMES, direction)
+        assert rate.min() >= -1e-12 * params.gamma
+
+
+@PROPERTY
+@given(rho1=densities(), rho2=densities(), lam=st.floats(0.0, 1.0), k0d=SPACINGS)
+def test_observables_are_linear_in_the_state(rho1, rho2, lam, k0d):
+    params = SystemParams(GAMMA, k0d)
+    one, two = DickeDensity.from_matrix(rho1), DickeDensity.from_matrix(rho2)
+    mix = DickeDensity.from_matrix(lam * rho1 + (1.0 - lam) * rho2)
+    omegas = _omegas(params)
+    for direction in (F, B):
+        _assert_close(
+            spectral_density(mix, params, direction, omegas),
+            lam * spectral_density(one, params, direction, omegas)
+            + (1.0 - lam) * spectral_density(two, params, direction, omegas),
+            1e-12,
+        )
+    for direction in (F, B, TOTAL):
+        _assert_close(
+            emission_rate(mix, params, TIMES, direction),
+            lam * emission_rate(one, params, TIMES, direction)
+            + (1.0 - lam) * emission_rate(two, params, TIMES, direction),
+            1e-12,
+        )
+
+
+@PROPERTY
+@given(rho=densities(), k0d=SPACINGS)
+def test_qubit_exchange_swaps_the_directions(rho, k0d):
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    swapped = DickeDensity.from_matrix(SWAP @ rho @ SWAP)
+    omegas = _omegas(params)
+    for there, back in ((F, B), (B, F)):
+        _assert_close(
+            spectral_density(swapped, params, back, omegas),
+            spectral_density(state, params, there, omegas),
+            1e-14,
+        )
+        _assert_close(
+            emission_rate(swapped, params, TIMES, back),
+            emission_rate(state, params, TIMES, there),
+            1e-14,
+        )
+
+
+@PROPERTY
+@given(
+    rho=densities(),
+    n=st.integers(1, 4),
+    k=st.integers(6, 15),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_no_jump_across_the_snap_at_multiples_of_pi(rho, n, k, sign):
+    # below 1e-12 the spacing snaps onto n*pi itself; above it the smooth
+    # branch must land within the first-order change |eps| of the limit.
+    # Spectra are left out: as Gamma_+ or Gamma_- -> 0 their line tends
+    # to a delta function, which no bound in |eps| holds uniformly.
+    eps = sign * 10.0**-k
+    at = SystemParams(GAMMA, n * math.pi)
+    near = SystemParams(GAMMA, n * math.pi + eps)
+    state = DickeDensity.from_matrix(rho)
+    for direction in (F, B, TOTAL):
+        jump = emission_rate(state, near, TIMES, direction) - emission_rate(
+            state, at, TIMES, direction
+        )
+        assert np.max(np.abs(jump)) / GAMMA <= abs(eps) + 1e-13
+    for initial in STATES:
+        for final in STATES:
+            jump = transition_probability(
+                initial, final, near, TIMES
+            ) - transition_probability(initial, final, at, TIMES)
+            assert np.max(np.abs(jump)) <= abs(eps) + 1e-13

@@ -272,3 +272,20 @@ def test_photon_number_argument_validation():
         photon_number(rho0, params, F, 1.0, -0.5)
     with pytest.raises(ValueError):
         photon_number(rho0, params, F, 1.0, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "omega", [math.nan, math.inf, -math.inf, np.array([1.0, math.nan]), np.array([math.inf])]
+)
+def test_non_finite_omega_rejected(omega):
+    params = _params(1.0)
+    rho0 = preset_state("E")
+    with pytest.raises(ValueError, match="omega must be finite"):
+        spectral_density(rho0, params, F, omega)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        photon_number(rho0, params, F, omega, math.inf)
+
+
+def test_finite_time_photon_number_needs_a_scalar_omega():
+    with pytest.raises(ValueError, match="scalar omega"):
+        photon_number(preset_state("E"), _params(1.0), F, np.array([0.99, 1.01]), 20.0)

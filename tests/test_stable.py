@@ -56,17 +56,32 @@ def _mp_mint(z, w, t, k):
     return complex(mp.quad(inner, [0, t]))
 
 
+def _mp_sinch(x):
+    x = _mpc(x)
+    return complex(mp.sinh(x) / x) if x != 0 else 1.0
+
+
 @pytest.mark.parametrize(
     "x",
-    [0.0, 1e-30, 1e-3, 0.0999, 0.1001, 1.0, -2.5, 0.03 + 0.04j, -0.08j, 3.0 + 4.0j],
+    [
+        0.0, 5e-324, 1e-310 + 1e-310j, 1e-30, 1e-3, 0.0999, 0.0999j, 0.1001,
+        1.0, -2.5, 0.03 + 0.04j, -0.08j, 3.0 + 4.0j,
+    ],
 )
 def test_sinch_matches_mpmath(x):
     if x == 0.0:
         assert sinch(x) == 1.0
         return
-    want = mp.sinh(_mpc(x)) / _mpc(x)
-    # 5e-14 admits the series truncation right at the |x| = 0.1 switch
-    _close(sinch(x), complex(want), rel=5e-14)
+    # a few ulp: one sinh and one division, no series truncation anywhere
+    _close(sinch(x), _mp_sinch(x), rel=1e-15)
+
+
+def test_sinch_on_an_array():
+    x = np.array([0.0, 5e-324, 1e-9j, 0.0999, 0.05 - 0.08j, 3.0 + 4.0j, -20.0])
+    got = sinch(x)
+    assert got.shape == x.shape
+    for g, xi in zip(got, x):
+        _close(g, _mp_sinch(xi), rel=1e-15)
 
 
 @pytest.mark.parametrize(

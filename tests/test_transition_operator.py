@@ -19,7 +19,6 @@ from waveqed.transition_operator import (
     STATE_DIM,
     TransitionOperatorState,
     closed_form_state,
-    coherence_elements,
     population_elements,
 )
 
@@ -43,7 +42,7 @@ def test_state_dimension_and_support_layout():
 
 
 def test_initial_state_is_identity():
-    state = TransitionOperatorState.initial()
+    state = closed_form_state(_params(1.3), 0.0)
     for i in BASIS:
         for m in BASIS:
             assert state.populations[i][m] == (1.0 if i is m else 0.0)
@@ -83,7 +82,7 @@ def test_dicke_point_degenerate_feeds(t):
 
 def test_dicke_point_coherences():
     t = 9.0
-    coh = coherence_elements(_params(2 * math.pi), t)
+    coh = closed_form_state(_params(2 * math.pi), t).coherences
     # S-A coherence decays at the plain single-qubit rate, no phase
     assert coh[(A, S)][(A, S)] == pytest.approx(math.exp(-GAMMA * t), rel=1e-14)
     ge = coh[(G, E)][(G, E)]
@@ -160,3 +159,12 @@ def test_negative_time_rejected():
     with pytest.raises(ValueError):
         closed_form_state(_params(1.0), -1e-9)
 
+
+@pytest.mark.parametrize(
+    "t", [math.nan, math.inf, np.array([0.0, math.nan]), np.array([1.0, math.inf])]
+)
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        population_elements(_params(1.0), t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        closed_form_state(_params(1.0), t)
