@@ -11,6 +11,10 @@ Conventions: hbar = 1, the qubit frequency Omega is the frequency unit,
 Gamma = gamma_ratio * Omega is the single-qubit decay rate into the
 waveguide.  Rates split into Forward / Backward propagation; "Total"
 always means their sum.
+
+The closed forms need numpy only.  The oracle needs scipy as well and
+is imported on first use of waveqed.oracle or of one of its names
+re-exported here (OdeConfig, QuadratureConfig, quadrature_spectrum, ...).
 """
 
 __version__ = "0.1.0"
@@ -35,15 +39,6 @@ from .observables import (
     emission_rate,
     radiated_energy,
     transition_probability,
-)
-from .oracle import (
-    OdeConfig,
-    OracleError,
-    QuadratureConfig,
-    correlation_function,
-    integrate_transition_odes,
-    quadrature_rates,
-    quadrature_spectrum,
 )
 from .spectra import (
     Detunings,
@@ -107,3 +102,15 @@ __all__ = [
     "closed_form_state",
     "population_elements",
 ]
+
+_ORACLE_NAMES = ("OdeConfig", "OracleError", "QuadratureConfig", "correlation_function",
+                 "integrate_transition_odes", "quadrature_rates", "quadrature_spectrum")
+
+
+def __getattr__(name):
+    # PEP 562: the oracle, and scipy with it, loads on the first lookup
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,10 +14,10 @@ accurate for any complex arguments including exact coincidence.
 
 t = math.inf is accepted wherever the integral converges (real parts of
 the relevant exponents > 0) and returns the exact limit.  sinch and dexp
-broadcast over numpy arrays, and so do the t = inf limits of jint,
-jint_dz and jint_dw (rational in their arguments); the finite-t series
-of phi, phi_k, mint and jint_dw branch on the size of their arguments
-and take complex scalars.
+(for any finite t >= 0) broadcast over numpy arrays, and so do the
+t = inf limits of jint, jint_dz and jint_dw (rational in their
+arguments); the finite-t series of phi, phi_k, mint and jint_dw branch
+on the size of their arguments and take complex scalars.
 """
 
 from __future__ import annotations
@@ -43,10 +43,23 @@ def sinch(x):
 
 
 def dexp(x: complex, y: complex, t):
-    """(e^{-xt} - e^{-yt})/(x - y); equals -t e^{-(x+y)t/2} sinch((x-y)t/2)."""
+    """(e^{-xt} - e^{-yt})/(x - y); equals -t e^{-(x+y)t/2} sinch((x-y)t/2).
+
+    The sinch form is exact at x = y.  Where |Re(x - y)| t/2 > 30 its
+    sinh heads for overflow and e^{-(x+y)t/2} for underflow (NaN past
+    Gamma t ~ 710 at k0d = n*pi), while the two exponentials differ by
+    e^60 or more, so their direct difference cannot cancel and is used.
+    """
     m = 0.5 * (x + y)
     v = 0.5 * (x - y) * t
-    return -t * np.exp(-m * t) * sinch(v)
+    far = abs(v.real) > 30.0
+    # a Python or numpy bool for scalars, whose np.any would triple the cost
+    if not (far.any() if isinstance(far, np.ndarray) else far):
+        return -t * np.exp(-m * t) * sinch(v)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near = -t * np.exp(-m * t) * sinch(v)
+        direct = (np.exp(-x * t) - np.exp(-y * t)) / (x - y)
+    return np.where(far, direct, near)[()]
 
 
 def phi(x: complex, t: float) -> complex:

@@ -36,14 +36,6 @@ from .core import (
     preset_state,
 )
 from .observables import emission_rate, transition_probability
-from .oracle import (
-    OdeConfig,
-    OracleError,
-    QuadratureConfig,
-    integrate_transition_odes,
-    quadrature_rates,
-    quadrature_spectrum,
-)
 from .spectra import single_qubit_baseline, spectral_density
 from .transition_operator import closed_form_state
 
@@ -297,6 +289,8 @@ def figure_datasets(gamma_ratio: float = 0.05) -> dict:
 
 def _validate_odes(gamma_ratio: float) -> list:
     """Closed-form elements against the integrated equations of motion."""
+    from .oracle import OdeConfig, integrate_transition_odes
+
     checks = []
     config = OdeConfig(method="DOP853", rel_tol=1e-11, abs_tol=1e-13, t_max=5.0)
     for k0d in (0.5 * _PI, 2 * _PI):
@@ -315,6 +309,8 @@ def _validate_odes(gamma_ratio: float) -> list:
 
 def _validate_rates(gamma_ratio: float) -> list:
     """Analytic rates against the equal-time correlation diagonal."""
+    from .oracle import QuadratureConfig, quadrature_rates
+
     checks = []
     config = QuadratureConfig(T=10.0, n_steps=256)
     cases = (("S", 2 * _PI), ("eg", 0.5 * _PI))
@@ -330,6 +326,8 @@ def _validate_rates(gamma_ratio: float) -> list:
 
 def _validate_spectra(gamma_ratio: float) -> list:
     """Analytic spectral density against brute-force quadrature."""
+    from .oracle import QuadratureConfig, quadrature_spectrum
+
     checks = []
     config = QuadratureConfig(T=20.0, n_steps=1024)
     cases = (
@@ -362,9 +360,15 @@ def _run_validate(cfg: RunConfig) -> int:
         raise ValueError(
             f"unknown validation suite {cfg.suite!r}; pick from {sorted(suites)}"
         )
+    from .oracle import OracleError
+
     checks = []
-    for runner in suites[cfg.suite]:
-        checks.extend(runner(cfg.gamma_ratio))
+    try:
+        for runner in suites[cfg.suite]:
+            checks.extend(runner(cfg.gamma_ratio))
+    except OracleError as exc:
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
     failed = False
     for name, worst, threshold in checks:
         ok = worst <= threshold
@@ -525,9 +529,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return run(_config_from(args))
-    except OracleError as exc:
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1

@@ -272,6 +272,12 @@ def _kernel_tables(gamma_ratio: float, k0d: float, n_eff: int, h: float) -> tupl
     return tables
 
 
+#: the quadrature extends its grid to at most this many points; the
+#: tables take 5,120 bytes a point (one 16x16 complex propagator and
+#: four 16-entry complex products), about 335 MB here
+MAX_GRID_POINTS = 65_536
+
+
 def _effective_grid(params: SystemParams, config: QuadratureConfig) -> tuple:
     """(n_eff, h): the requested grid, extended if a channel decays slowly.
 
@@ -280,15 +286,22 @@ def _effective_grid(params: SystemParams, config: QuadratureConfig) -> tuple:
     smallest nonzero collective rate.  Extra points are added at fixed
     step so resolution is never traded away for reach.  Channels with
     exactly zero rate never decay and are excluded: their weight in the
-    emission kernel is exactly zero.
+    emission kernel is exactly zero.  A grid above MAX_GRID_POINTS
+    (a spacing close to n*pi) raises OracleError before any table exists.
     """
     r = collective_rates(params)
-    positive = [g for g in (r.gamma_plus, r.gamma_minus) if g > 0.0]
-    t_need = 2.0 * math.log(1e6) / min(positive)
+    gamma_min = min(g for g in (r.gamma_plus, r.gamma_minus) if g > 0.0)
     t_base = config.T / params.gamma
     h = t_base / config.n_steps
-    n_eff = max(config.n_steps, int(math.ceil(t_need / h)))
-    return n_eff, h
+    n_need = 2.0 * math.log(1e6) / gamma_min / h
+    if n_need > MAX_GRID_POINTS:
+        raise OracleError(
+            f"quadrature grid needs n_eff = {math.ceil(n_need):.6g} points for "
+            f"Gamma_min/Gamma = {gamma_min / params.gamma:.3g}, about "
+            f"{(n_need + 1) * 5120 / 1e6:.3g} MB of tables; the limit is "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return max(config.n_steps, math.ceil(n_need)), h
 
 
 def _lag_sums(rho0: DickeDensity, params: SystemParams, direction: Direction,

@@ -181,6 +181,19 @@ def test_validate_rates_suite_passes(capsys):
     assert all("threshold" in ln for ln in lines)
 
 
+def test_validate_oracle_error_exits_2(monkeypatch, capsys):
+    import waveqed.oracle
+
+    def fail(*_args, **_kwargs):
+        raise waveqed.oracle.OracleError("grid too long:\n  no tables built")
+
+    monkeypatch.setattr(waveqed.oracle, "quadrature_spectrum", fail)
+    assert main(["validate", "--suite", "spectra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid too long: no tables built\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # figure datasets
 # ---------------------------------------------------------------------------

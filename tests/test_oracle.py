@@ -8,6 +8,7 @@ both routes.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from waveqed.coupling import QubitArray, coupling_matrices
 from waveqed.oracle import (
     _SM1,
     _SM2,
+    MAX_GRID_POINTS,
     OdeConfig,
+    OracleError,
     QuadratureConfig,
     _adjoint_generator,
+    _kernel_tables,
     correlation_function,
     integrate_transition_odes,
     quadrature_rates,
@@ -223,3 +227,22 @@ def test_quadrature_rates_track_closed_rates():
         for idx in (0, 7, 50, 199):
             want = emission_rate(rho0, params, float(t_grid[idx]), direction)
             assert w_num[idx] == pytest.approx(want, rel=1e-8, abs=1e-13)
+
+
+def test_grid_past_the_cap_raises_before_building_tables():
+    # 2*pi + 0.05: Gamma_min/Gamma = 1.25e-3 asks for 2,264,005 points,
+    # about 11.6 GB of tables
+    params = _params(2 * math.pi + 0.05)
+    misses = _kernel_tables.cache_info().misses
+    start = time.perf_counter()
+    with pytest.raises(OracleError) as info:
+        quadrature_spectrum(preset_state("S"), params, Direction.FORWARD, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert _kernel_tables.cache_info().misses == misses
+    message = str(info.value)
+    assert "n_eff = 2.264e+06" in message
+    assert "Gamma_min/Gamma = 0.00125" in message
+    assert "1.16e+04 MB" in message
+    assert str(MAX_GRID_POINTS) in message
+    with pytest.raises(OracleError, match="n_eff"):
+        quadrature_rates(preset_state("S"), params, Direction.FORWARD)

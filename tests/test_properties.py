@@ -13,9 +13,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveqed.core import TOTAL, DickeDensity, DickeState, Direction, SystemParams
-from waveqed.observables import emission_rate, transition_probability
+from waveqed.core import (
+    TOTAL,
+    DickeDensity,
+    DickeState,
+    Direction,
+    SystemParams,
+    collective_rates,
+)
+from waveqed.observables import emission_rate, radiated_energy, transition_probability
 from waveqed.spectra import spectral_density
+from waveqed.transition_operator import population_elements
 
 GAMMA = 0.05
 F, B = Direction.FORWARD, Direction.BACKWARD
@@ -52,6 +60,11 @@ def near_pi():
 
 
 SPACINGS = st.one_of(st.floats(0.0, 4.0 * math.pi), near_pi())
+#: n*pi + u with u at least 0.3 from the next multiple, so both collective
+#: channels decay at >= (1 - cos 0.3) Gamma = 0.045 Gamma
+CLEAR_OF_N_PI = st.builds(
+    lambda n, u: n * math.pi + u, st.integers(0, 3), st.floats(0.3, math.pi - 0.3)
+)
 
 
 def _omegas(params):
@@ -177,3 +190,52 @@ def test_no_jump_across_the_snap_at_multiples_of_pi(rho, n, k, sign):
                 initial, final, near, TIMES
             ) - transition_probability(initial, final, at, TIMES)
             assert np.max(np.abs(jump)) <= abs(eps) + 1e-13
+
+
+@PROPERTY
+@given(rho=densities(), k0d=SPACINGS)
+def test_long_times_stay_finite_and_decay(rho, k0d):
+    # the grid crosses Gamma t ~ 710, where the feeding terms' sinh form overflows
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    gt = np.array([0.0, 5.0, 50.0, 500.0, 709.0, 712.0, 800.0, 3000.0, 1e4])
+    t = gt / GAMMA
+    pops = population_elements(params, t)
+    table = np.array([[pops[i][m] for m in STATES] for i in STATES])
+    assert np.all(np.isfinite(table))
+    np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    for initial in STATES:
+        for final in STATES:
+            p = transition_probability(initial, final, params, t)
+            assert np.all((0.0 <= p) & (p <= 1.0 + 1e-12))
+    for direction in (F, B, TOTAL):
+        rate = emission_rate(state, params, t, direction)
+        assert np.all(np.isfinite(rate))
+        # a channel within 1e-6 of n*pi stays populated, but radiates at
+        # a rate below Gamma * 1e-12
+        assert abs(rate[-1]) <= 1e-12 * GAMMA
+    r = collective_rates(params)
+    if min(r.gamma_plus, r.gamma_minus) * t[-1] > 800.0:
+        # every channel has rung down: all weight sits in the ground state
+        assert np.max(np.abs(table[1:, :, -1])) <= 1e-300
+        assert np.all(table[0, :, -1] == 1.0)
+
+
+@PROPERTY
+@given(rho=densities(), k0d=CLEAR_OF_N_PI)
+def test_radiated_energy_is_the_time_integral_of_the_rate(rho, k0d):
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    r = collective_rates(params)
+    # until the slowest decay (a collective channel, or the S-A coherence
+    # at Gamma) has fallen by e^-50, which takes up to Gamma t ~ 1,100
+    slowest = min(r.gamma_plus, r.gamma_minus, params.gamma)
+    steps = 2 * math.ceil(5000.0 * params.gamma / slowest)  # h <= 0.005/Gamma
+    t, h = np.linspace(0.0, 50.0 / slowest, steps + 1, retstep=True)
+    for direction in (F, B):
+        rate = emission_rate(state, params, t, direction)
+        # trapezoid at steps h and 2h, Richardson-extrapolated (Simpson)
+        fine = h * (rate.sum() - 0.5 * (rate[0] + rate[-1]))
+        coarse = 2.0 * h * (rate[::2].sum() - 0.5 * (rate[0] + rate[-1]))
+        integral = (4.0 * fine - coarse) / 3.0
+        assert abs(integral - radiated_energy(state, params, direction)) <= 1e-9

@@ -7,6 +7,7 @@ of the coincidence points (stability where the naive forms cancel).
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -109,6 +110,29 @@ def test_dexp_coincident_and_near_coincident():
             _mpc(x) - _mpc(y)
         )
         _close(dexp(x, y, t), complex(want), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "x, y, t",
+    [
+        (0.1, 0.0, 14400.0),  # the feeding term at k0d = pi, Gamma t = 720
+        (0.1, 1e-9, 1e5),
+        (2.0, 0.0, 1e4),
+        (0.1 + 0.3j, 0.02 - 0.1j, 3000.0),
+        (0.1, 0.07, 2001.0),  # |Re(x - y)| t/2 just past the switch at 30
+        (0.1, 0.07, 1999.0),  # and just below it
+    ],
+)
+def test_dexp_long_times(x, y, t):
+    want = (mp.e ** (-_mpc(x) * t) - mp.e ** (-_mpc(y) * t)) / (_mpc(x) - _mpc(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dexp(x, y, t)
+        both = dexp(x, y, np.array([1.0, t]))
+    # e^{-xt} itself carries the rounding of x t, a few hundred ulp here
+    _close(got, complex(want), rel=1e-13)
+    assert both[1] == got
+    _close(both[0], dexp(x, y, 1.0), rel=1e-15)
 
 
 @pytest.mark.parametrize(
