@@ -52,8 +52,6 @@ from .spectra import (
     spectral_density,
 )
 from .transition_operator import (
-    COHERENCE_SUPPORT,
-    STATE_DIM,
     TransitionOperatorState,
     closed_form_state,
     population_elements,
@@ -96,8 +94,6 @@ __all__ = [
     "photon_number",
     "single_qubit_baseline",
     "spectral_density",
-    "COHERENCE_SUPPORT",
-    "STATE_DIM",
     "TransitionOperatorState",
     "closed_form_state",
     "population_elements",

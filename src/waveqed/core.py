@@ -166,6 +166,15 @@ def everywhere(mask) -> bool:
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def first_failure(values, mask):
+    """The first entry of values where mask is False, to name in an error.
+
+    Keeps a rejection of a 1,000-point grid to one value instead of the
+    whole array.
+    """
+    return np.ravel(values)[~np.ravel(mask)][0]
+
+
 def _check_density(
     m: np.ndarray,
     trace_tol: float = 1e-8,

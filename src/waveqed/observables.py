@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    BASIS_INDEX,
     TOTAL,
     DickeDensity,
     DickeState,
@@ -31,9 +32,9 @@ from .core import (
 )
 from .transition_operator import population_elements
 
-_E = DickeState.E
-_S = DickeState.S
-_A = DickeState.A
+_E = BASIS_INDEX[DickeState.E]
+_S = BASIS_INDEX[DickeState.S]
+_A = BASIS_INDEX[DickeState.A]
 
 
 def transition_probability(
@@ -45,7 +46,7 @@ def transition_probability(
     weight of the |initial><initial| dyad inside <P_final,final(t)>.
     t may be an array of times.
     """
-    value = population_elements(params, t)[final][initial]
+    value = population_elements(params, t)[BASIS_INDEX[final], BASIS_INDEX[initial]]
     # rounding dust from the feed terms near t = 0 becomes +0.0
     dust = (-1e-12 < value) & (value < 0.0)
     return value - value * dust
@@ -67,9 +68,9 @@ def emission_rate(rho0: DickeDensity, params: SystemParams, t, direction=TOTAL):
     g = params.gamma
     r = collective_rates(params)
     pops = population_elements(params, t)
-    occ_e = pops[_E][_E] * rho0.pEE
-    occ_s = pops[_S][_S] * rho0.pSS + pops[_S][_E] * rho0.pEE
-    occ_a = pops[_A][_A] * rho0.pAA + pops[_A][_E] * rho0.pEE
+    occ_e = pops[_E, _E] * rho0.pEE
+    occ_s = pops[_S, _S] * rho0.pSS + pops[_S, _E] * rho0.pEE
+    occ_a = pops[_A, _A] * rho0.pAA + pops[_A, _E] * rho0.pEE
     w = g * occ_e + 0.5 * r.gamma_plus * occ_s + 0.5 * r.gamma_minus * occ_a
     _c, s = phase_factors(params.k0d)
     s_dir = direction.sign * s

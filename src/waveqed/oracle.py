@@ -15,7 +15,8 @@ vacuum-averaged transition operator: column 4i+j of Phi(t) is
 vec(<P_ij(t)>).  No closed-form coefficient is used on the way.
 
 * integrate_transition_odes drives dPhi/dt = L Phi with an adaptive
-  integrator and reads the operator coefficients off Phi.
+  integrator and hands each Phi(t) back as a TransitionOperatorState,
+  whose layout is this one.
 
 * quadrature_spectrum rebuilds the emission spectrum from two-time
   qubit correlations via the quantum regression rule, then a
@@ -44,8 +45,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .core import (
-    BASIS,
-    BASIS_INDEX,
     OMEGA,
     DickeDensity,
     Direction,
@@ -53,7 +52,7 @@ from .core import (
     collective_rates,
 )
 from .coupling import QubitArray, coupling_matrices
-from .transition_operator import COHERENCE_SUPPORT, TransitionOperatorState
+from .transition_operator import TransitionOperatorState
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -77,6 +76,11 @@ class OracleError(RuntimeError):
     """A numerical cross-check could not produce a trustworthy number."""
 
 
+def _require_finite_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class OdeConfig:
     """Integrator settings for the transition-operator equations.
@@ -91,10 +95,9 @@ class OdeConfig:
     t_max: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("integrator tolerances must be positive")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        # solve_ivp does not return under rel_tol = inf
+        for name in ("rel_tol", "abs_tol", "t_max"):
+            _require_finite_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,9 @@ class QuadratureConfig:
     n_steps: int = 4096
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError(f"quadrature horizon T must be positive, got {self.T}")
-        if self.n_steps < 64:
-            raise ValueError(f"n_steps must be at least 64, got {self.n_steps}")
+        _require_finite_positive("quadrature horizon T", self.T)
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 64):
+            raise ValueError(f"n_steps must be an integer >= 64, got {self.n_steps!r}")
 
 
 def _adjoint_generator(params: SystemParams) -> np.ndarray:
@@ -134,28 +136,6 @@ def _adjoint_generator(params: SystemParams) -> np.ndarray:
     return gen + 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
 
-def _state_from_propagator(t: float, phi: np.ndarray) -> TransitionOperatorState:
-    """Operator coefficients at time t, read off the propagator Phi(t).
-
-    Column 4i+j of Phi is vec(<P_ij(t)>), so elems[i, j, m, n] is the
-    weight of the dyad |m><n| inside <P_ij(t)>.
-    """
-    elems = phi.T.reshape(4, 4, 4, 4)
-    idx = BASIS_INDEX
-    pops = {
-        i: {m: float(elems[idx[i], idx[i], idx[m], idx[m]].real) for m in BASIS}
-        for i in BASIS
-    }
-    coh = {
-        (i, j): {
-            (m, n): complex(elems[idx[i], idx[j], idx[m], idx[n]])
-            for (m, n) in support
-        }
-        for (i, j), support in COHERENCE_SUPPORT.items()
-    }
-    return TransitionOperatorState(t=t, populations=pops, coherences=coh)
-
-
 def integrate_transition_odes(
     params: SystemParams, config: OdeConfig, t_grid
 ) -> list:
@@ -177,14 +157,15 @@ def integrate_transition_odes(
             f"past the configured horizon t_max = {config.t_max:g}"
         )
     if t[-1] == 0.0:
-        return [_state_from_propagator(float(ti), np.eye(16)) for ti in t]
+        return [TransitionOperatorState(float(ti), np.eye(16, dtype=complex))
+                for ti in t]
     # real block form [Re Phi; Im Phi], so every solve_ivp method applies
     L = _adjoint_generator(params)
     real_gen = np.block([[L.real, -L.imag], [L.imag, L.real]])
     sol = solve_ivp(
         lambda _t, y: (real_gen @ y.reshape(32, 16)).ravel(),
         (0.0, float(t[-1])),
-        np.vstack([np.eye(16), np.zeros((16, 16))]).ravel(),
+        TransitionOperatorState(0.0, np.eye(16, dtype=complex)).to_vector(),
         t_eval=t,
         method=config.method,
         rtol=config.rel_tol,
@@ -196,10 +177,9 @@ def integrate_transition_odes(
             f"ODE integration stalled at Gamma*t = {params.gamma * t_last:.6g}: "
             f"{sol.message}"
         )
-    phis = sol.y[:256].T + 1j * sol.y[256:].T
     return [
-        _state_from_propagator(float(ti), phi.reshape(16, 16))
-        for ti, phi in zip(sol.t, phis)
+        TransitionOperatorState.from_vector(float(ti), y)
+        for ti, y in zip(sol.t, sol.y.T)
     ]
 
 

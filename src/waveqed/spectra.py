@@ -29,12 +29,14 @@ import numpy as np
 from ._stable import INF, jint, jint_dw, jint_dz
 from .core import (
     OMEGA,
+    TOTAL,
     DickeDensity,
     DickeState,
     Direction,
     SystemParams,
     collective_rates,
     everywhere,
+    first_failure,
     phase_factors,
 )
 
@@ -84,8 +86,9 @@ def photon_number(
         raise ValueError(f"direction must be a Direction, got {direction!r}")
     if not t >= 0.0:
         raise ValueError(f"photon number is defined for t >= 0, got {t}")
-    if not everywhere(abs(omega) < INF):  # False for NaN too
-        raise ValueError(f"omega must be finite, got {omega}")
+    finite = abs(omega) < INF  # False for NaN too
+    if not everywhere(finite):
+        raise ValueError(f"omega must be finite, got {first_failure(omega, finite)}")
     if t != INF and np.ndim(omega) != 0:
         raise ValueError("finite t needs a scalar omega; only t = inf takes an array")
     g = params.gamma
@@ -123,13 +126,15 @@ def photon_number(
     return 2.0 * np.real(g * total)
 
 
-def spectral_density(
-    rho0: DickeDensity, params: SystemParams, direction: Direction, omega
-):
+def spectral_density(rho0: DickeDensity, params: SystemParams, direction, omega):
     """Long-time radiation spectral density S-bar(omega) for one direction.
 
+    direction may also be TOTAL, the forward plus the backward spectrum.
     omega may be a scalar or an array; the result has its shape.
     """
+    if direction is TOTAL:
+        forward = spectral_density(rho0, params, Direction.FORWARD, omega)
+        return forward + spectral_density(rho0, params, Direction.BACKWARD, omega)
     return photon_number(rho0, params, direction, omega, INF)
 
 

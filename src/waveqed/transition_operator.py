@@ -1,21 +1,29 @@
 """Vacuum-averaged transition operators for two qubits in the guide.
 
-The Heisenberg-picture transition operator P_ij(t) (initially |i><j|)
-stays, after averaging over the photon vacuum, inside a small fixed set
-of Dicke dyads:
+The Heisenberg-picture transition operator P_ij(t) (initially |i><j|),
+averaged over the photon vacuum, is a 4x4 matrix in the (G, E, S, A)
+basis.  All sixteen of them are held in one 16x16 complex matrix, the
+propagator Phi(t) of the oracle's Lindblad generator: column 4i + j of
+Phi is the row-major vec of <P_ij(t)>, so Phi[4m + n, 4i + j] is the
+weight of the dyad |m><n| inside <P_ij(t)>.  Phi(0) is the identity.
 
-    populations  <P_ii(t)>  =  sum_m  c_im(t) |m><m|
-    coherences   <P_ij(t)>  =  coefficient on |i><j| plus, for the
-                               ground-excited pairs (G,A) and (G,S), a
-                               second dyad fed by cascade decay.
+Most of Phi is zero.  Its diagonal block Phi[::5, ::5] holds the
+populations,
+
+    <P_ii(t)>  =  sum_m  c_im(t) |m><m|,
+
+and the coherences <P_ij(t)>, i != j, carry a coefficient on |i><j|
+plus, for the ground-excited pairs (G,A) and (G,S), a second dyad fed
+by cascade decay; <P_ji> is the adjoint of <P_ij>.
 
 This module provides the exact closed-form coefficients and the state
-object that carries them.  The population coefficients broadcast over
+object that carries Phi.  The population coefficients broadcast over
 an array of times, which is all the emission rates and transition
-probabilities need; the coherences and the state object hold one
-scalar time.  It holds no equations of motion: the oracle
-derives its own from the Lindblad generator of the waveguide master
-equation, so the two routes share no algebra.
+probabilities need; the state object holds one scalar time.  It holds
+no equations of motion: the oracle derives its own from the Lindblad
+generator of the waveguide master equation and reads its integrated
+Phi back through TransitionOperatorState.from_vector, so the two routes
+share no algebra, only the layout.
 
 Every coefficient is a function of Gamma, the collective rates
 Gamma(1 +- cos k0d), the shifted frequencies Omega +- (Gamma/2) sin k0d,
@@ -34,56 +42,32 @@ import numpy as np
 from ._stable import INF, dexp
 from .core import (
     BASIS,
-    BASIS_INDEX,
     OMEGA,
-    DickeState,
     SystemParams,
     collective_rates,
     everywhere,
+    first_failure,
     phase_factors,
 )
 
-_G = DickeState.G
-_E = DickeState.E
-_S = DickeState.S
-_A = DickeState.A
-
-#: dyad support of each independent coherence element <P_ij>; the
-#: conjugate elements (j, i) are always derived, never recomputed
-COHERENCE_SUPPORT = {
-    (_G, _E): ((_G, _E),),
-    (_A, _S): ((_A, _S),),
-    (_A, _E): ((_A, _E),),
-    (_S, _E): ((_S, _E),),
-    (_G, _A): ((_G, _A), (_A, _E)),
-    (_G, _S): ((_G, _S), (_S, _E)),
-}
-
-#: flattening order for the 16 real population coefficients
-_POP_SLOTS = tuple((i, m) for i in BASIS for m in BASIS)
-#: flattening order for the 8 complex coherence coefficients
-_COH_SLOTS = tuple(
-    (pair, dyad) for pair, support in COHERENCE_SUPPORT.items() for dyad in support
-)
-
-#: real dimension of the full coefficient vector (16 + 2*8)
-STATE_DIM = len(_POP_SLOTS) + 2 * len(_COH_SLOTS)
+# positions in BASIS
+_G, _E, _S, _A = range(4)
 
 
 def _check_time(t):
     # one comparison pair covers negative, infinite and NaN entries alike
-    if not everywhere((t >= 0.0) & (t < INF)):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    ok = (t >= 0.0) & (t < INF)
+    if not everywhere(ok):
+        raise ValueError(f"t must be finite and >= 0, got {first_failure(t, ok)}")
     return t
 
 
-def population_elements(params: SystemParams, t) -> dict:
+def population_elements(params: SystemParams, t) -> np.ndarray:
     """Coefficients of each |m><m| inside <P_ii(t)> for all i, m.
 
-    Returns {i: {m: coefficient}} with all 16 entries present, each a
-    float for scalar t or an array shaped like t.  The columns sum to 1
-    over i for every dyad m (completeness of the transition operators),
-    which the tests assert.
+    Returns an array of shape (4, 4) + shape(t), indexed [i, m] in BASIS
+    order.  The columns sum to 1 over i for every dyad m (completeness
+    of the transition operators), which the tests assert.
     """
     _check_time(t)
     g = params.gamma
@@ -101,21 +85,50 @@ def population_elements(params: SystemParams, t) -> dict:
     feed_a = np.real(-b * g * dexp(2.0 * g, gm, t))
     zero = 0.0 * u
     one = zero + 1.0
-    return {
-        _E: {_G: zero, _E: u, _S: zero, _A: zero},
-        _S: {_G: zero, _E: feed_s, _S: p, _A: zero},
-        _A: {_G: zero, _E: feed_a, _S: zero, _A: m_},
-        _G: {
-            _G: one,
-            _E: (1.0 - u) - feed_s - feed_a,
-            _S: 1.0 - p,
-            _A: 1.0 - m_,
-        },
-    }
+    return np.array([
+        [one, (1.0 - u) - feed_s - feed_a, 1.0 - p, 1.0 - m_],
+        [zero, u, zero, zero],
+        [zero, feed_s, p, zero],
+        [zero, feed_a, zero, m_],
+    ])
 
 
-def _independent_coherences(params: SystemParams, t: float) -> dict:
-    """Closed forms of the six independent off-diagonal elements."""
+@dataclass(frozen=True, eq=False)
+class TransitionOperatorState:
+    """All transition operators at one time, as the propagator Phi(t).
+
+    phi: 16x16 complex matrix whose column 4i + j is the row-major vec
+        of <P_ij(t)>, with i, j in BASIS order.
+    """
+
+    t: float
+    phi: np.ndarray
+
+    def to_vector(self) -> np.ndarray:
+        """Flatten to a real vector of 512 entries: Re Phi, then Im Phi."""
+        return np.concatenate((self.phi.real.ravel(), self.phi.imag.ravel()))
+
+    @classmethod
+    def from_vector(cls, t: float, vec: np.ndarray) -> "TransitionOperatorState":
+        """Inverse of to_vector, exact to the bit."""
+        phi = np.empty((16, 16), dtype=complex)
+        phi.real, phi.imag = np.reshape(vec, (2, 16, 16))
+        return cls(t=t, phi=phi)
+
+    def element_matrices(self) -> dict:
+        """4x4 matrix of every <P_ij(t)> in the (G, E, S, A) basis.
+
+        All 16 ordered pairs are present, keyed (i, j) by DickeState.
+        """
+        cols = self.phi.T.reshape(4, 4, 4, 4)
+        return {
+            (i, j): cols[a, b] for a, i in enumerate(BASIS) for b, j in enumerate(BASIS)
+        }
+
+
+def closed_form_state(params: SystemParams, t: float) -> TransitionOperatorState:
+    """Exact coefficients at one scalar time t, packaged as a state object."""
+    _check_time(t)
     g = params.gamma
     _c, s = phase_factors(params.k0d)
     r = collective_rates(params)
@@ -124,84 +137,20 @@ def _independent_coherences(params: SystemParams, t: float) -> dict:
     z_se = 1j * r.omega_minus + 0.5 * gp + g
     z_ga = 1j * r.omega_minus + 0.5 * gm
     z_gs = 1j * r.omega_plus + 0.5 * gp
-    return {
-        (_G, _E): {(_G, _E): complex(np.exp(-(2j * OMEGA + g) * t))},
-        (_A, _S): {(_A, _S): complex(np.exp(-g * (1.0 + 1j * s) * t))},
-        (_A, _E): {(_A, _E): complex(np.exp(-z_ae * t))},
-        (_S, _E): {(_S, _E): complex(np.exp(-z_se * t))},
-        (_G, _A): {
-            (_G, _A): complex(np.exp(-z_ga * t)),
-            (_A, _E): complex(gm * dexp(z_ae, z_ga, t)),
-        },
-        (_G, _S): {
-            (_G, _S): complex(np.exp(-z_gs * t)),
-            (_S, _E): complex(-gp * dexp(z_se, z_gs, t)),
-        },
-    }
-
-
-@dataclass(frozen=True)
-class TransitionOperatorState:
-    """All independent transition-operator coefficients at one time.
-
-    populations: {i: {m: real}} covering the 16 diagonal coefficients.
-    coherences: {(i, j): {(m, n): complex}} over the six independent
-        off-diagonal elements and their dyad support.
-    """
-
-    t: float
-    populations: dict
-    coherences: dict
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten to a real vector (populations, then Re/Im of coherences)."""
-        v = np.empty(STATE_DIM)
-        for idx, (i, m) in enumerate(_POP_SLOTS):
-            v[idx] = self.populations[i][m]
-        base = len(_POP_SLOTS)
-        for idx, (pair, dyad) in enumerate(_COH_SLOTS):
-            z = self.coherences[pair][dyad]
-            v[base + 2 * idx] = z.real
-            v[base + 2 * idx + 1] = z.imag
-        return v
-
-    @classmethod
-    def from_vector(cls, t: float, vec: np.ndarray) -> "TransitionOperatorState":
-        pops: dict = {i: {} for i in BASIS}
-        for idx, (i, m) in enumerate(_POP_SLOTS):
-            pops[i][m] = float(vec[idx])
-        base = len(_POP_SLOTS)
-        coh: dict = {pair: {} for pair in COHERENCE_SUPPORT}
-        for idx, (pair, dyad) in enumerate(_COH_SLOTS):
-            coh[pair][dyad] = complex(vec[base + 2 * idx], vec[base + 2 * idx + 1])
-        return cls(t=t, populations=pops, coherences=coh)
-
-    def element_matrices(self) -> dict:
-        """4x4 matrix of every <P_ij(t)> in the (G, E, S, A) basis.
-
-        All 16 ordered pairs are present; conjugate elements are the
-        matrix adjoints of their independent partners.
-        """
-        mats = {}
-        for i in BASIS:
-            m = np.zeros((4, 4), dtype=complex)
-            for dyad_state, coef in self.populations[i].items():
-                idx = BASIS_INDEX[dyad_state]
-                m[idx, idx] = coef
-            mats[(i, i)] = m
-        for pair, support in self.coherences.items():
-            m = np.zeros((4, 4), dtype=complex)
-            for (dm, dn), coef in support.items():
-                m[BASIS_INDEX[dm], BASIS_INDEX[dn]] = coef
-            mats[pair] = m
-            mats[(pair[1], pair[0])] = m.conj().T
-        return mats
-
-
-def closed_form_state(params: SystemParams, t: float) -> TransitionOperatorState:
-    """Exact coefficients at one scalar time t, packaged as a state object."""
-    return TransitionOperatorState(
-        t=float(_check_time(t)),
-        populations=population_elements(params, t),
-        coherences=_independent_coherences(params, t),
-    )
+    phi = np.zeros((16, 16), dtype=complex)
+    phi[::5, ::5] = population_elements(params, t).T
+    # (i, j, m, n, weight of |m><n| inside <P_ij>) for the six independent
+    # coherences; <P_ji> is the adjoint
+    for i, j, m, n, coef in (
+        (_G, _E, _G, _E, np.exp(-(2j * OMEGA + g) * t)),
+        (_A, _S, _A, _S, np.exp(-g * (1.0 + 1j * s) * t)),
+        (_A, _E, _A, _E, np.exp(-z_ae * t)),
+        (_S, _E, _S, _E, np.exp(-z_se * t)),
+        (_G, _A, _G, _A, np.exp(-z_ga * t)),
+        (_G, _A, _A, _E, gm * dexp(z_ae, z_ga, t)),
+        (_G, _S, _G, _S, np.exp(-z_gs * t)),
+        (_G, _S, _S, _E, -gp * dexp(z_se, z_gs, t)),
+    ):
+        phi[4 * m + n, 4 * i + j] = coef
+        phi[4 * n + m, 4 * j + i] = np.conj(coef)
+    return TransitionOperatorState(t=float(t), phi=phi)

@@ -16,6 +16,7 @@ from scipy.integrate import simpson
 
 from waveqed.core import (
     BASIS,
+    BASIS_INDEX,
     PRESET_NAMES,
     TOTAL,
     DickeState,
@@ -88,9 +89,10 @@ def test_criterion_1_superradiant_decay():
     # independent route: integrate the equations of motion and apply the
     # occupation weight to the numerically evolved S population
     gp = collective_rates(params).gamma_plus
+    ss = BASIS_INDEX[S]
     worst = 0.0
     for state in integrate_transition_odes(params, ODE_TIGHT, t_grid):
-        w_ode = 0.5 * gp * state.populations[S][S]
+        w_ode = 0.5 * gp * state.element_matrices()[(S, S)][ss, ss].real
         w = emission_rate(rho_s, params, state.t, F)
         worst = max(worst, abs(w - w_ode))
     assert worst < 1e-8

@@ -301,6 +301,31 @@ def test_input_errors_exit_1(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rate", "--initial", "S", "--k0d", "1", "--t-max", "nan"], "t-max"),
+        (["rate", "--initial", "S", "--k0d", "1", "--t-max", "inf"], "t-max"),
+        (["rate", "--initial", "S", "--k0d", "nan"], "k0d"),
+        (["rate", "--initial", "S", "--k0d", "1", "--gamma-ratio", "inf"], "gamma-ratio"),
+        (["spectrum", "--initial", "S", "--k0d", "1", "--omega-max", "inf"], "omega-max"),
+        (["spectrum", "--initial", "S", "--k0d", "1", "--omega-min=-inf"], "omega-min"),
+        (["sweep", "--initial", "S", "--k0d-start", "0", "--k0d-stop", "inf"], "k0d-stop"),
+        (["sweep", "--initial", "S", "--k0d-start", "nan", "--k0d-stop", "1"], "k0d-start"),
+        (["validate", "--gamma-ratio", "nan"], "gamma-ratio"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would add stderr lines
+def test_non_finite_flags_exit_1_in_one_short_line(argv, flag, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+    assert f"{flag} must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [[], ["bogus"], ["spectrum"], ["sweep", "--initial", "S"]],
 )

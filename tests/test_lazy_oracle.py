@@ -31,7 +31,7 @@ ALL = [
     "transition_probability", *ORACLE_NAMES, "Detunings", "PeakAnalysis",
     "SpectrumSample", "detunings", "line_tail_area", "peak_analysis",
     "photon_number", "single_qubit_baseline", "spectral_density",
-    "COHERENCE_SUPPORT", "STATE_DIM", "TransitionOperatorState",
+    "TransitionOperatorState",
     "closed_form_state", "population_elements",
 ]
 

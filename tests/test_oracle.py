@@ -15,7 +15,6 @@ import pytest
 
 from waveqed.core import (
     BASIS,
-    DickeState,
     Direction,
     SystemParams,
     preset_state,
@@ -41,7 +40,6 @@ from waveqed.spectra import spectral_density
 from waveqed.transition_operator import closed_form_state
 
 GAMMA = 0.05
-G, E, S, A = DickeState.G, DickeState.E, DickeState.S, DickeState.A
 
 TIGHT = OdeConfig(method="DOP853", rel_tol=1e-11, abs_tol=1e-13, t_max=10.0)
 
@@ -70,9 +68,10 @@ def test_trace_identity_along_trajectory():
     params = _params(0.6 * math.pi)
     t_grid = np.linspace(0.0, 10.0 / params.gamma, 21)
     for state in integrate_transition_odes(params, OdeConfig(), t_grid):
-        for m in BASIS:
-            column = sum(state.populations[i][m] for i in BASIS)
-            assert abs(column - 1.0) < 1e-8
+        mats = state.element_matrices()
+        # entry m of the diagonal: the weight of |m><m| summed over all P_ii
+        columns = sum(mats[(i, i)] for i in BASIS).diagonal()
+        assert np.max(np.abs(columns - 1.0)) < 1e-8
 
 
 def test_generator_reproduces_rhs_on_generic_state():
@@ -135,7 +134,7 @@ def test_integration_input_validation():
     with pytest.raises(ValueError, match="horizon"):
         integrate_transition_odes(params, cfg, [0.0, 20.0 / params.gamma])
     only_zero = integrate_transition_odes(params, cfg, [0.0])
-    assert only_zero[0].populations[E][E] == 1.0
+    assert np.array_equal(only_zero[0].phi, np.eye(16))
 
 
 def test_config_validation():
@@ -147,6 +146,32 @@ def test_config_validation():
         QuadratureConfig(T=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(n_steps=32)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        # an infinite tolerance made the integration hang, an infinite
+        # horizon made quadrature_spectrum return nan; only construct here
+        (lambda: OdeConfig(rel_tol=math.inf), "rel_tol"),
+        (lambda: OdeConfig(rel_tol=math.nan), "rel_tol"),
+        (lambda: OdeConfig(abs_tol=math.inf), "abs_tol"),
+        (lambda: OdeConfig(abs_tol=-1e-12), "abs_tol"),
+        (lambda: OdeConfig(t_max=math.inf), "t_max"),
+        (lambda: OdeConfig(t_max=math.nan), "t_max"),
+        (lambda: QuadratureConfig(T=math.inf, n_steps=64), "T"),
+        (lambda: QuadratureConfig(T=math.nan), "T"),
+        (lambda: QuadratureConfig(n_steps=64.5), "n_steps"),
+        (lambda: QuadratureConfig(n_steps=128.0), "n_steps"),
+    ],
+)
+def test_config_rejects_non_finite_and_non_integer_values(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_config_accepts_numpy_integer_steps():
+    assert QuadratureConfig(n_steps=np.int64(64)).n_steps == 64
 
 
 def test_correlation_equal_time_occupations():

@@ -200,8 +200,8 @@ def test_long_times_stay_finite_and_decay(rho, k0d):
     state = DickeDensity.from_matrix(rho)
     gt = np.array([0.0, 5.0, 50.0, 500.0, 709.0, 712.0, 800.0, 3000.0, 1e4])
     t = gt / GAMMA
-    pops = population_elements(params, t)
-    table = np.array([[pops[i][m] for m in STATES] for i in STATES])
+    table = population_elements(params, t)
+    assert table.shape == (4, 4) + t.shape
     assert np.all(np.isfinite(table))
     np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     for initial in STATES:
@@ -239,3 +239,30 @@ def test_radiated_energy_is_the_time_integral_of_the_rate(rho, k0d):
         coarse = 2.0 * h * (rate[::2].sum() - 0.5 * (rate[0] + rate[-1]))
         integral = (4.0 * fine - coarse) / 3.0
         assert abs(integral - radiated_energy(state, params, direction)) <= 1e-9
+
+
+def _tan_nodes(panels=40, order=400):
+    """Gauss-Legendre nodes and weights in theta on (-pi/2, pi/2)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+THETA, THETA_WEIGHTS = _tan_nodes()
+
+
+@PROPERTY
+@given(rho=densities(), k0d=CLEAR_OF_N_PI)
+def test_spectral_area_is_4_pi_times_the_radiated_energy(rho, k0d):
+    # omega = Omega + Gamma tan(theta) maps the whole line onto a finite
+    # interval on which the Lorentzian lines become smooth
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    omegas = 1.0 + params.gamma * np.tan(THETA)
+    jacobian = params.gamma / np.cos(THETA) ** 2
+    for direction in (F, B):
+        spectrum = spectral_density(state, params, direction, omegas)
+        area = np.sum(THETA_WEIGHTS * jacobian * spectrum)
+        assert abs(area - 4.0 * math.pi * radiated_energy(state, params, direction)) <= 1e-10

@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 
 from waveqed.core import (
     PRESET_NAMES,
+    TOTAL,
     DickeState,
     Direction,
     SystemParams,
@@ -284,6 +285,29 @@ def test_non_finite_omega_rejected(omega):
         spectral_density(rho0, params, F, omega)
     with pytest.raises(ValueError, match="omega must be finite"):
         photon_number(rho0, params, F, omega, math.inf)
+
+
+def test_omega_rejection_names_the_first_bad_value():
+    omegas = np.concatenate([np.linspace(0.5, 1.5, 1000), [math.nan, math.inf]])
+    with pytest.raises(ValueError) as exc:
+        spectral_density(preset_state("E"), _params(1.0), F, omegas)
+    assert str(exc.value) == "omega must be finite, got nan"
+
+
+@pytest.mark.parametrize("k0d", [0.5 * math.pi, 1.3, 2 * math.pi])
+@pytest.mark.parametrize("name", ["eg", "s1e2", "E"])
+def test_total_spectrum_is_forward_plus_backward(name, k0d):
+    params = _params(k0d)
+    rho0 = preset_state(name)
+    total = spectral_density(rho0, params, TOTAL, OMEGA_GRID)
+    both = spectral_density(rho0, params, F, OMEGA_GRID) + spectral_density(
+        rho0, params, B, OMEGA_GRID
+    )
+    assert total.tobytes() == both.tobytes()
+    w = float(OMEGA_GRID[7])
+    assert spectral_density(rho0, params, TOTAL, w) == spectral_density(
+        rho0, params, F, w
+    ) + spectral_density(rho0, params, B, w)
 
 
 def test_finite_time_photon_number_needs_a_scalar_omega():

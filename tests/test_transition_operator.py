@@ -11,12 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from waveqed.core import BASIS, DickeState, SystemParams
+from waveqed.core import BASIS, BASIS_INDEX, DickeState, SystemParams
 from waveqed.oracle import _adjoint_generator
 from waveqed.transition_operator import (
-    COHERENCE_SUPPORT,
-    STATE_DIM,
     TransitionOperatorState,
     closed_form_state,
     population_elements,
@@ -24,6 +23,7 @@ from waveqed.transition_operator import (
 
 GAMMA = 0.05
 G, E, S, A = DickeState.G, DickeState.E, DickeState.S, DickeState.A
+IG, IE, IS, IA = (BASIS_INDEX[x] for x in (G, E, S, A))
 
 K0D_GRID = [0.25 * math.pi, 0.5 * math.pi, math.pi, 1.3, 1.5 * math.pi, 2 * math.pi]
 T_GRID = [0.0, 2.0, 7.0, 30.0, 120.0]  # absolute times; Gamma*t up to 6
@@ -33,22 +33,24 @@ def _params(k0d):
     return SystemParams(gamma_ratio=GAMMA, k0d=k0d)
 
 
-def test_state_dimension_and_support_layout():
-    assert STATE_DIM == 32
-    assert COHERENCE_SUPPORT[(G, A)] == ((G, A), (A, E))
-    assert COHERENCE_SUPPORT[(G, S)] == ((G, S), (S, E))
-    for pair in ((G, E), (A, S), (A, E), (S, E)):
-        assert COHERENCE_SUPPORT[pair] == (pair,)
+@pytest.mark.parametrize(
+    "k0d", [0.3, 0.5 * math.pi, math.pi, 1.3, 1.9 * math.pi, 2 * math.pi,
+            2 * math.pi + 1e-7]
+)
+@pytest.mark.parametrize("gt", [0.0, 0.5, 2.0, 5.0, 9.0])
+def test_propagator_is_the_matrix_exponential(k0d, gt):
+    # the whole 16x16 matrix, so every entry the closed form leaves at
+    # zero must be zero in exp(L t) as well
+    params = _params(k0d)
+    t = gt / params.gamma
+    phi = closed_form_state(params, t).phi
+    assert phi.shape == (16, 16)
+    assert np.max(np.abs(phi - expm(_adjoint_generator(params) * t))) <= 1e-13
 
 
 def test_initial_state_is_identity():
     state = closed_form_state(_params(1.3), 0.0)
-    for i in BASIS:
-        for m in BASIS:
-            assert state.populations[i][m] == (1.0 if i is m else 0.0)
-    for pair, support in COHERENCE_SUPPORT.items():
-        for dyad in support:
-            assert state.coherences[pair][dyad] == (1.0 if dyad == pair else 0.0)
+    assert np.array_equal(state.phi, np.eye(16))
     mats = state.element_matrices()
     total = sum(mats[(i, i)] for i in BASIS)
     assert np.array_equal(total, np.eye(4))
@@ -58,12 +60,9 @@ def test_initial_state_is_identity():
 @pytest.mark.parametrize("t", T_GRID)
 def test_population_completeness_and_range(k0d, t):
     pops = population_elements(_params(k0d), t)
-    for m in BASIS:
-        column = sum(pops[i][m] for i in BASIS)
-        assert abs(column - 1.0) <= 1e-12
-    for i in BASIS:
-        for m in BASIS:
-            assert -1e-12 <= pops[i][m] <= 1.0 + 1e-12
+    assert pops.shape == (4, 4)
+    assert np.max(np.abs(pops.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.all((-1e-12 <= pops) & (pops <= 1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("t", [0.0, 4.0, 10.0, 40.0])
@@ -71,21 +70,21 @@ def test_dicke_point_degenerate_feeds(t):
     g = GAMMA
     pops = population_elements(_params(2 * math.pi), t)
     # the symmetric channel at its bright point: linear-in-t feeding
-    assert pops[S][E] == pytest.approx(2.0 * g * t * np.exp(-2.0 * g * t), abs=1e-15)
-    assert pops[A][A] == 1.0  # dark channel frozen
-    assert pops[A][E] == 0.0
+    assert pops[IS, IE] == pytest.approx(2.0 * g * t * np.exp(-2.0 * g * t), abs=1e-15)
+    assert pops[IA, IA] == 1.0  # dark channel frozen
+    assert pops[IA, IE] == 0.0
     pops_pi = population_elements(_params(math.pi), t)
-    assert pops_pi[A][E] == pytest.approx(2.0 * g * t * np.exp(-2.0 * g * t), abs=1e-15)
-    assert pops_pi[S][S] == 1.0
-    assert pops_pi[S][E] == 0.0
+    assert pops_pi[IA, IE] == pytest.approx(2.0 * g * t * np.exp(-2.0 * g * t), abs=1e-15)
+    assert pops_pi[IS, IS] == 1.0
+    assert pops_pi[IS, IE] == 0.0
 
 
 def test_dicke_point_coherences():
     t = 9.0
-    coh = closed_form_state(_params(2 * math.pi), t).coherences
+    mats = closed_form_state(_params(2 * math.pi), t).element_matrices()
     # S-A coherence decays at the plain single-qubit rate, no phase
-    assert coh[(A, S)][(A, S)] == pytest.approx(math.exp(-GAMMA * t), rel=1e-14)
-    ge = coh[(G, E)][(G, E)]
+    assert mats[(A, S)][IA, IS] == pytest.approx(math.exp(-GAMMA * t), rel=1e-14)
+    ge = mats[(G, E)][IG, IE]
     assert abs(ge) == pytest.approx(math.exp(-GAMMA * t), rel=1e-13)
     # double-excitation phase rotates at 2*Omega
     assert np.angle(ge) == pytest.approx(
@@ -107,10 +106,11 @@ def test_conjugate_elements_are_adjoints():
 def test_vector_round_trip():
     state = closed_form_state(_params(0.7 * math.pi), 17.0)
     vec = state.to_vector()
-    assert vec.shape == (STATE_DIM,)
+    assert vec.shape == (512,)
+    assert vec.dtype == float
     back = TransitionOperatorState.from_vector(state.t, vec)
-    assert back.populations == state.populations
-    assert back.coherences == state.coherences
+    assert back.t == state.t
+    assert back.phi.tobytes() == state.phi.tobytes()
 
 
 @pytest.mark.parametrize("k0d", [0.25 * math.pi, math.pi, 1.3, 2 * math.pi])
@@ -118,8 +118,8 @@ def test_vector_round_trip():
 def test_closed_forms_solve_the_odes(k0d, t):
     # centered difference of the closed-form element matrices against the
     # Lindblad generator applied to the full 4x4 matrices; a weight the
-    # true evolution puts outside COHERENCE_SUPPORT shows up as a nonzero
-    # derivative where the closed form has none
+    # true evolution puts where the closed form holds a zero shows up as
+    # a nonzero derivative there
     params = _params(k0d)
     L = _adjoint_generator(params)
     h = 1e-5
@@ -142,9 +142,7 @@ def test_continuity_across_the_degenerate_points(n):
     at = closed_form_state(_params(seam), t)
     for off in (-1e-4, 1e-4):
         near = closed_form_state(_params(seam + off), t)
-        for i in BASIS:
-            for m in BASIS:
-                assert abs(at.populations[i][m] - near.populations[i][m]) <= 1e-6
+        assert np.max(np.abs(at.phi[::5, ::5] - near.phi[::5, ::5])) <= 1e-6
         mats_at = at.element_matrices()
         mats_near = near.element_matrices()
         worst = max(
@@ -168,3 +166,10 @@ def test_non_finite_time_rejected(t):
         population_elements(_params(1.0), t)
     with pytest.raises(ValueError, match="t must be finite"):
         closed_form_state(_params(1.0), t)
+
+
+def test_time_rejection_names_the_first_bad_value():
+    t = np.concatenate([np.linspace(0.0, 100.0, 1000), [-2.0, math.nan]])
+    with pytest.raises(ValueError) as exc:
+        population_elements(_params(1.0), t)
+    assert str(exc.value) == "t must be finite and >= 0, got -2.0"
