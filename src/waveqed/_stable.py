@@ -5,19 +5,20 @@ Every closed-form observable in this package reduces to combinations of
     phi(x, t)      = int_0^t e^{-x tau} dtau
     jint(z, w, t)  = int_0^t dtau int_0^tau dtau' e^{-z(tau-tau')} e^{-w tau'}
 
-and divided differences of these in their parameters.  The naive forms
-(e^{-xt} - e^{-yt})/(x - y) etc. lose all precision when two decay
-constants approach each other, which happens systematically at the
-bright/dark points of the waveguide (cos k0d -> +-1).  The functions
-here evaluate the same quantities through sinch-type series, uniformly
-accurate for any complex arguments including exact coincidence.
+and divided differences of these in their parameters, each one a
+divided difference of e^{-xt}: dexp over two nodes, phi over {x, 0} and
+phi_dd over {a, b, 0}.  The naive quotients lose all precision when two
+nodes approach each other or 0, which happens systematically at the
+bright/dark points of the waveguide (cos k0d -> +-1).  The forms here
+stay exact there and sum no series, except phi_dd's Taylor branch
+(about 20 terms, only while all three nodes lie within 1/t).
 
 t = math.inf is accepted wherever the integral converges (real parts of
 the relevant exponents > 0) and returns the exact limit.  sinch and dexp
 (for any finite t >= 0) broadcast over numpy arrays, and so do the
 t = inf limits of jint, jint_dz and jint_dw (rational in their
-arguments); the finite-t series of phi, phi_k, mint and jint_dw branch
-on the size of their arguments and take complex scalars.
+arguments); the finite-t phi, phi_dd and with them jint, jint_dz and
+jint_dw branch on the size of their arguments and take complex scalars.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 import numpy as np
 
 INF = math.inf
-
-_FACT = [float(math.factorial(k)) for k in range(40)]
 
 
 def sinch(x):
@@ -73,82 +72,63 @@ def phi(x: complex, t: float) -> complex:
     return (1.0 - np.exp(-x * t)) / x
 
 
-def phi_k(x: complex, t: float, k: int = 0) -> complex:
-    """k-th x-derivative of phi: (-1)^k int_0^t tau^k e^{-x tau} dtau.
+def phi_dd(a: complex, b: complex, t: float) -> complex:
+    """(phi(a,t) - phi(b,t))/(a - b) for finite t >= 0, exact at a = b.
 
-    Works for any complex x (including 0) with finite t >= 0, or t = inf
-    with Re x > 0, where it gives (-1)^k k!/x^{k+1}.
+    Minus the divided difference of e^{-xt} over {a, b, 0}, evaluated as
+    McCurdy, Ng and Parlett (Math. Comp. 43, 1984) do.  With |a| >= |b|:
+    the Taylor series sum_{n>=1} (-1)^n t^{n+1}/(n+1)! h_{n-1}(a, b),
+    h_k = a h_{k-1} + b^k, while |a| t < 1; the direct quotient when
+    |a - b| >= |a|; else -(dexp(a, b, t) + phi(b, t))/a.
     """
-    if t == INF:
-        return (-1.0) ** k * _FACT[k] / x ** (k + 1)
-    if t == 0.0:
-        return 0.0 + 0.0j
-    y = x * t
-    if abs(y) <= 30.0:
-        # (-1)^k t^{k+1} k! e^{-y} sum_m y^m / (m+k+1)!
-        s = 0.0 + 0.0j
-        c = 1.0 / (k + 1.0)  # k!/(k+1)!
-        m = 0
-        while True:
-            s += c
-            c *= y / (m + k + 2.0)
-            m += 1
-            if abs(c) < 1e-18 * abs(s) + 1e-300 or m > 300:
-                break
-        return (-1.0) ** k * t ** (k + 1) * np.exp(-y) * s
-    # large |xt|: truncated-exponential form, no cancellation out here
-    ssum = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(k + 1):
-        ssum += term
-        term *= y / (j + 1.0)
-    return (-1.0) ** k * _FACT[k] / x ** (k + 1) * (1.0 - np.exp(-y) * ssum)
+    if abs(a) < abs(b):
+        a, b = b, a
+    r = abs(a) * t
+    if r < 1.0:
+        # |h_{n-1}| <= n |a|^{n-1} bounds each term, and the sum is at
+        # least 0.1 t^2 in size (Re e^{-x} > 0.19 for |x| < 1)
+        c = -0.5 * t * t
+        h = bk = 1.0 + 0j
+        out = c + 0j
+        bound = -c
+        tol = 1e-18 * t * t
+        n = 1
+        while bound > tol:
+            n += 1
+            bk *= b
+            h = a * h + bk
+            c *= -t / (n + 1)
+            out += c * h
+            bound *= r * n / ((n - 1) * (n + 1))
+        return out
+    if abs(a - b) >= abs(a):
+        return (phi(a, t) - phi(b, t)) / (a - b)
+    return -(dexp(a, b, t) + phi(b, t)) / a
 
 
 def jint(z: complex, w: complex, t: float) -> complex:
-    """Ordered double decay integral, stable for z close to w.
+    """Ordered double decay integral, stable for any z and w.
 
-    jint = int_0^t dtau int_0^tau dtau' e^{-z(tau-tau')} e^{-w tau'}.
-    The textbook form (phi(w,t) - phi(z,t))/(z - w) cancels badly for
-    z ~ w; the exact rearrangement (1/z)[phi(w,t) - e^{-zt} phi(w-z,t)]
-    does not.  Requires z != 0 (callers guarantee Re z >= Gamma/2 or
-    skip the term).  t = inf needs Re z, Re w > 0 and gives 1/(z w).
+    jint = int_0^t dtau int_0^tau dtau' e^{-z(tau-tau')} e^{-w tau'}
+    = (phi(w,t) - phi(z,t))/(z - w), which is -phi_dd(w, z, t) and so
+    stays exact where z ~ w, z ~ 0 or both.  t = inf needs Re z,
+    Re w > 0 and gives 1/(z w).
     """
     if t == INF:
         return 1.0 / (z * w)
-    return (phi(w, t) - np.exp(-z * t) * phi(w - z, t)) / z
-
-
-def mint(z: complex, w: complex, t: float, k: int) -> complex:
-    """int_0^t dtau int_0^tau dtau' tau'^k e^{-z(tau-tau')} e^{-w tau'} (z != 0)."""
-    if t == INF:
-        return _FACT[k] / (z * w ** (k + 1))
-    return (-1.0) ** k * (phi_k(w, t, k) - np.exp(-z * t) * phi_k(w - z, t, k)) / z
+    return -phi_dd(w, z, t)
 
 
 def jint_dw(z: complex, w1: complex, w2: complex, t: float) -> complex:
     """(jint(z,w1,t) - jint(z,w2,t))/(w1 - w2), stable for w1 ~ w2.
 
-    Direct quotient when the two inner decays separate over the
-    effective window, otherwise a sinch expansion about the midpoint,
-    -sum_j (v/2)^{2j}/(2j+1)! mint(z, wm, t, 2j+1), exact at w1 = w2.
+    From jint = (phi(w,t) - e^{-zt} phi(w-z,t))/z, the divided
+    difference in w is (phi_dd(w1, w2) - e^{-zt} phi_dd(w1-z, w2-z))/z,
+    exact at w1 = w2.  Requires z != 0.
     """
     if t == INF:
         return -1.0 / (z * w1 * w2)
-    v = w1 - w2
-    if abs(v) * min(t, 8.0 / max(abs(z), 1e-300)) > 4.0:
-        return (jint(z, w1, t) - jint(z, w2, t)) / v
-    wm = 0.5 * (w1 + w2)
-    h = 0.5 * v
-    out = 0.0 + 0.0j
-    c = 1.0 + 0.0j
-    for j in range(16):
-        term = c / _FACT[2 * j + 1] * mint(z, wm, t, 2 * j + 1)
-        out -= term
-        if abs(term) < 1e-17 * abs(out) + 1e-300:
-            break
-        c *= h * h
-    return out
+    return (phi_dd(w1, w2, t) - np.exp(-z * t) * phi_dd(w1 - z, w2 - z, t)) / z
 
 
 def jint_dz(z1: complex, z2: complex, w: complex, t: float) -> complex:

@@ -20,6 +20,7 @@ direction carries the interference lobe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +32,9 @@ OMEGA = 1.0  # qubit resonance frequency, the frequency unit
 #: tolerance for snapping cos/sin(k0d) onto the exact n*pi values; see
 #: phase_factors
 _TRIG_SNAP = 1e-12
+
+#: spacings whose phase factors and collective rates are kept
+_RATE_CACHE_SIZE = 256
 
 
 class DickeState(Enum):
@@ -75,6 +79,7 @@ class _TotalSentinel:
 TOTAL = _TotalSentinel()
 
 
+@functools.lru_cache(maxsize=_RATE_CACHE_SIZE)
 def phase_factors(k0d: float) -> tuple[float, float]:
     """(cos k0d, sin k0d) with dust snapped off at the n*pi points.
 
@@ -113,6 +118,9 @@ class SystemParams:
             )
         if not (math.isfinite(self.k0d) and self.k0d >= 0):
             raise ValueError(f"k0d must be finite and >= 0, got {self.k0d}")
+        # equal keys of the collective_rates cache must hold equal floats
+        object.__setattr__(self, "gamma_ratio", float(self.gamma_ratio))
+        object.__setattr__(self, "k0d", float(self.k0d))
 
     @property
     def gamma(self) -> float:
@@ -130,6 +138,7 @@ class CollectiveRates:
     omega_minus: float
 
 
+@functools.lru_cache(maxsize=_RATE_CACHE_SIZE)
 def collective_rates(params: SystemParams) -> CollectiveRates:
     """Collective decay rates Gamma(1 +- cos k0d) and shifts Omega +- (Gamma/2) sin k0d.
 

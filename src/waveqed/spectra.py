@@ -15,8 +15,8 @@ direction only flips the sign in front of sin k0d.
 
 omega may be an array: the t -> infinity limit is rational in omega, so
 spectral_density returns a whole spectrum from one call.  Finite t
-needs a scalar omega, because the finite-t series branch on the size
-of their arguments.
+needs a scalar omega, because the finite-t kernels branch on the size
+of their arguments; t is always one scalar.
 """
 
 from __future__ import annotations
@@ -76,14 +76,17 @@ def photon_number(
 ):
     """Dimensionless occupancy of the (direction, omega) mode at time t.
 
-    t = math.inf is allowed and gives the spectral density, for a scalar
-    omega or an array of them; finite t needs a scalar omega.  Weights
-    whose channel factor is exactly zero are skipped, which keeps the
-    dark-point geometries (cos k0d = +-1) free of 0 * divergent-limit
-    products: the stable integrals never see the degenerate argument.
+    t is one scalar.  t = math.inf is allowed and gives the spectral
+    density, for a scalar omega or an array of them; finite t needs a
+    scalar omega.  Weights whose channel factor is exactly zero are
+    skipped, which keeps the dark-point geometries (cos k0d = +-1) free
+    of 0 * divergent-limit products: the stable integrals never see the
+    degenerate argument.
     """
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
+    if np.ndim(t) != 0:
+        raise ValueError("photon number needs a scalar t; call it once per time")
     if not t >= 0.0:
         raise ValueError(f"photon number is defined for t >= 0, got {t}")
     finite = abs(omega) < INF  # False for NaN too

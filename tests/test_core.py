@@ -96,6 +96,14 @@ def test_collective_rates_sum_rules_bit_exact(k0d):
     assert r.gamma_minus >= 0.0
 
 
+def test_equal_parameters_share_one_cached_rate_of_python_floats():
+    # numpy scalars first: the cached value must not carry their type
+    first = collective_rates(SystemParams(np.float64(0.0625), np.float64(1.7)))
+    assert collective_rates(SystemParams(0.0625, 1.7)) is first
+    assert {type(v) for v in vars(first).values()} == {float}
+    assert type(SystemParams(0.05, 2).k0d) is float
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("delta", [1e-11, 1e-9, 1e-7, 1e-6, 1e-3])
 def test_nearly_dark_channel_keeps_its_rate(n, delta):

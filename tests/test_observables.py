@@ -13,6 +13,7 @@ import pytest
 
 from waveqed.core import (
     TOTAL,
+    DickeDensity,
     DickeState,
     Direction,
     SystemParams,
@@ -112,6 +113,23 @@ def test_interference_cancels_in_the_direction_sum(k0d, t):
         preset_state("eg"), params, t, B
     )
     assert eg_total == pytest.approx(both, rel=1e-15)
+
+
+@pytest.mark.parametrize("k0d", [0.5 * math.pi, 1.1, math.pi, 1.7 * math.pi, 2 * math.pi])
+@pytest.mark.parametrize("name", ["E", "eg", "ge", "s1e2", "s1s2", "rand"])
+def test_total_rate_is_forward_plus_backward_bitwise(k0d, name):
+    if name == "rand":
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho0 = DickeDensity.from_matrix(m @ m.conj().T / np.trace(m @ m.conj().T).real)
+    else:
+        rho0 = preset_state(name)
+    params = _params(k0d)
+    times = np.array(T_GRID)
+    for t in (times, 31.0):
+        total = emission_rate(rho0, params, t, TOTAL)
+        both = emission_rate(rho0, params, t, F) + emission_rate(rho0, params, t, B)
+        assert np.array_equal(total, both)
 
 
 def test_radiated_energy_closed_forms():

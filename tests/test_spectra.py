@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -9,10 +10,12 @@ from scipy.integrate import simpson
 from waveqed.core import (
     PRESET_NAMES,
     TOTAL,
+    DickeDensity,
     DickeState,
     Direction,
     SystemParams,
     collective_rates,
+    phase_factors,
     preset_state,
 )
 from waveqed.observables import emission_rate
@@ -313,3 +316,108 @@ def test_total_spectrum_is_forward_plus_backward(name, k0d):
 def test_finite_time_photon_number_needs_a_scalar_omega():
     with pytest.raises(ValueError, match="scalar omega"):
         photon_number(preset_state("E"), _params(1.0), F, np.array([0.99, 1.01]), 20.0)
+
+
+@pytest.mark.parametrize("t", [np.array([1.0, 2.0]), np.array([math.inf]), np.array([[5.0]])])
+def test_photon_number_needs_a_scalar_time(t):
+    with pytest.raises(ValueError, match="scalar t"):
+        photon_number(preset_state("E"), _params(1.3), F, 1.01, t)
+
+
+def _mp_divided_difference(nodes, t):
+    """Divided difference of e^{-x t} over the nodes, exact where they coincide."""
+    a = nodes[0]
+    for j in range(1, len(nodes)):
+        if nodes[j] != a:
+            rest = nodes[1:j] + nodes[j + 1:]
+            return (
+                _mp_divided_difference(rest + [a], t)
+                - _mp_divided_difference(rest + [nodes[j]], t)
+            ) / (a - nodes[j])
+    n = len(nodes) - 1
+    return (-t) ** n * mp.exp(-a * t) / mp.factorial(n)
+
+
+def _mp_photon_number(rho0, params, direction, omega, t):
+    """photon_number's kernel weights at 100 digits.
+
+    The rates are the library's own floats, taken as exact, so this
+    checks the finite-t kernels and not the n*pi snapping.  With
+    f(x) = e^{-xt}: jint(z, w) = f[w, z, 0], jint_dz(z1, z2, w) =
+    f[w, z1, z2, 0] and jint_dw(z, w1, w2) = f[w1, w2, z, 0].
+    """
+    with mp.workdps(100):
+        zero, i = mp.mpf(0), mp.mpc(0, 1)
+        t = mp.mpf(t)
+        g = mp.mpf(params.gamma)
+        r = collective_rates(params)
+        s = mp.mpf(phase_factors(params.k0d)[1])
+        gp, gm = mp.mpf(r.gamma_plus), mp.mpf(r.gamma_minus)
+        a, b = gp / g, gm / g
+        dp = mp.mpf(omega) - mp.mpf(r.omega_plus)
+        dm = mp.mpf(omega) - mp.mpf(r.omega_minus)
+        sk = direction.sign * s
+        z1, z2 = i * dm + gp / 2 + g, i * dp + gp / 2
+        z4, z5 = i * dp + gm / 2 + g, i * dm + gm / 2
+
+        def jint(z, w):
+            return _mp_divided_difference([w, z, zero], t)
+
+        def jint_dz(z1, z2, w):
+            return _mp_divided_difference([w, z1, z2, zero], t)
+
+        def jint_dw(z, w1, w2):
+            return _mp_divided_difference([w1, w2, z, zero], t)
+
+        kernel_e = mp.mpc(0)
+        if a != 0:
+            kernel_e += -a * a * g * jint_dz(z1, z2, 2 * g) + a * jint(z1, 2 * g)
+            kernel_e += -a * a * g * jint_dw(z2, 2 * g, gp)
+        if b != 0:
+            kernel_e += b * jint(z4, 2 * g) - b * b * g * jint_dz(z4, z5, 2 * g)
+            kernel_e += -b * b * g * jint_dw(z5, 2 * g, gm)
+        total = mp.mpf(rho0.pEE) * kernel_e
+        if a != 0:
+            total += mp.mpf(rho0.pSS) * a * jint(z2, gp)
+        if b != 0:
+            total += mp.mpf(rho0.pAA) * b * jint(z5, gm)
+        if sk != 0:
+            sa = mp.mpc(rho0.pSA.real, rho0.pSA.imag)
+            total += sa * i * sk * jint(z5, g * (1 + i * s))
+            total += mp.conj(sa) * (-i) * sk * jint(z2, g * (1 - i * s))
+        return float(2 * mp.re(g * total))
+
+
+def _random_density(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = m @ m.conj().T
+    return DickeDensity.from_matrix(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize(
+    "k0d",
+    [
+        0.3, 0.5 * math.pi, math.pi, 2 * math.pi, 1e-8,
+        math.pi + 1e-9, math.pi - 1e-9, math.pi - 1e-6, math.pi + 1e-3,
+        2 * math.pi - 1e-7, 2 * math.pi - 1e-5, 2 * math.pi + 1e-12,
+        3 * math.pi - 1e-10,
+    ],
+)
+def test_finite_time_photon_number_matches_a_100_digit_reference(k0d):
+    # near n*pi a collective rate and the dark-line detuning both go to
+    # 0; a kernel that divides by either loses its digits right there
+    params = _params(k0d)
+    r = collective_rates(params)
+    detectors = (
+        r.omega_minus, r.omega_plus, 1.0, r.omega_minus + 0.5 * GAMMA,
+        r.omega_plus - 2.0 * GAMMA,
+    )
+    times = np.linspace(0.0, 12.0, 11) / GAMMA
+    for rho0 in (preset_state("E"), preset_state("A"), _random_density(7)):
+        for omega in detectors:
+            got = np.array([photon_number(rho0, params, F, omega, t) for t in times])
+            want = np.array(
+                [_mp_photon_number(rho0, params, F, omega, t) for t in times]
+            )
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -6,7 +6,6 @@ integral), and against high-precision divided differences right on top
 of the coincidence points (stability where the naive forms cancel).
 """
 
-import math
 import warnings
 
 import mpmath as mp
@@ -19,9 +18,8 @@ from waveqed._stable import (
     jint,
     jint_dw,
     jint_dz,
-    mint,
     phi,
-    phi_k,
+    phi_dd,
     sinch,
 )
 
@@ -156,28 +154,70 @@ def test_phi_limits():
     assert phi(z, INF) == pytest.approx(1.0 / z, rel=1e-15)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize(
-    "x, t",
-    [
-        (0.1, 5.0),
-        (0.1 + 0.9j, 5.0),
-        (0.0, 3.0),
-        (2.5 + 0.5j, 30.0),  # |xt| > 30: truncated-exponential branch
-    ],
-)
-def test_phi_k_matches_integral(x, t, k):
-    want = (-1.0) ** k * mp.quad(
-        lambda u: u**k * mp.e ** (-_mpc(x) * u), [0, t]
-    )
-    _close(phi_k(x, t, k), complex(want), rel=5e-13)
+def _mp_phi_dd(a, b, t):
+    """(phi(a,t) - phi(b,t))/(a - b) at 120 digits; the a-derivative at a = b."""
+    with mp.workdps(120):
+        a, b, t = _mpc(a), _mpc(b), mp.mpf(t)
+        if a != b:
+            phi_a = t if a == 0 else (1 - mp.exp(-a * t)) / a
+            phi_b = t if b == 0 else (1 - mp.exp(-b * t)) / b
+            return complex((phi_a - phi_b) / (a - b))
+        if a == 0:
+            return complex(-t * t / 2)
+        e = mp.exp(-a * t)
+        return complex((t * a * e - (1 - e)) / a**2)
 
 
-def test_phi_k_edges():
-    assert phi_k(0.3 + 0.1j, 0.0, 2) == 0.0
-    z = 0.2 + 0.1j
-    assert phi_k(z, INF, 3) == pytest.approx(-6.0 / z**4, rel=1e-14)
-    assert phi_k(0.5, INF, 0) == pytest.approx(2.0, rel=1e-14)
+#: a node of modulus 0.05 and times putting |a| t below, at and above the
+#: Taylor switch at |a| t = 1
+_NODE = 0.04 + 0.03j
+_DD_TIMES = [6.0, 19.98, 20.02, 100.0, 1000.0]
+
+
+@pytest.mark.parametrize("t", _DD_TIMES)
+@pytest.mark.parametrize("gap", [0.0, 1e-16, 1e-12, 1e-9, 1e-3, 0.3, 1.0])
+def test_phi_dd_coincident_and_near_coincident_nodes(gap, t):
+    # b = a (1 + gap e^{i theta}): exact, rounding-close and separated nodes
+    b = _NODE * (1.0 + gap * (0.6 - 0.8j))
+    _close(phi_dd(_NODE, b, t), _mp_phi_dd(_NODE, b, t), rel=1e-13)
+    _close(phi_dd(b, _NODE, t), _mp_phi_dd(_NODE, b, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("t", _DD_TIMES)
+@pytest.mark.parametrize("a", [_NODE, 1e-9 * _NODE, 0.0])
+def test_phi_dd_with_a_zero_node(a, t):
+    _close(phi_dd(a, 0.0, t), _mp_phi_dd(a, 0.0, t), rel=1e-13)
+    _close(phi_dd(0.0, a, t), _mp_phi_dd(a, 0.0, t), rel=1e-13)
+
+
+def test_phi_dd_is_exactly_zero_at_t_zero():
+    for a, b in ((0.0, 0.0), (_NODE, _NODE), (3.0 + 40.0j, 0.0), (1e5, 2.0 - 1e3j)):
+        assert phi_dd(a, b, 0.0) == 0.0
+    assert phi_dd(0.0, 0.0, 2.0) == -2.0
+
+
+def test_phi_dd_random_node_pairs():
+    # complex nodes with Re >= 0, |a| t from 1e-9 to ~100 and t from 1e-3
+    # to 1e3; b coincides, sits 1e-16 ... 1 away (relative), is 0, or is
+    # drawn on its own
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for k in range(400):
+        t = 10.0 ** rng.uniform(-3.0, 3.0)
+        a = 10.0 ** rng.uniform(-9.0, 2.0) / t * np.exp(1j * rng.uniform(-1.5, 1.5))
+        kind = k % 4
+        if kind == 0:
+            b = a
+        elif kind == 1:
+            b = a * (1.0 + 10.0 ** rng.uniform(-16.0, 0.0) * np.exp(1j * rng.uniform(0.0, 6.3)))
+            b = complex(max(b.real, 0.0), b.imag)
+        elif kind == 2:
+            b = 0.0
+        else:
+            b = 10.0 ** rng.uniform(-9.0, 2.0) / t * np.exp(1j * rng.uniform(-1.5, 1.5))
+        want = _mp_phi_dd(a, b, t)
+        worst = max(worst, abs(complex(phi_dd(a, b, t)) - want) / abs(want))
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -203,12 +243,12 @@ def test_jint_coincident_and_limit():
     assert jint(zc, 0.1, INF) == pytest.approx(1.0 / (zc * 0.1), rel=1e-15)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_mint_matches_double_integral(k):
-    z, w, t = 0.06 + 0.04j, 0.09, 6.0
-    _close(mint(z, w, t, k), _mp_mint(z, w, t, k), rel=1e-10)
-    want_inf = math.factorial(k) / (z * w ** (k + 1))
-    _close(mint(z, w, INF, k), want_inf, rel=1e-14)
+@pytest.mark.parametrize("z", [0.0, 1.25e-16, 1e-9 + 3e-10j, 1e-4j])
+def test_jint_with_a_vanishing_outer_decay(z):
+    # the dark-line detector near k0d = 2 pi: |z| t << 1, where dividing
+    # by z cancels all digits; jint = (phi(w) - phi(z))/(z - w)
+    w, t = 0.05 * (1.0 - 1e-7j), 240.0
+    _close(jint(z, w, t), -_mp_phi_dd(w, z, t), rel=1e-13)
 
 
 def test_jint_dw_separated_equals_quotient():
