@@ -6,6 +6,7 @@ integral), and against high-precision divided differences right on top
 of the coincidence points (stability where the naive forms cancel).
 """
 
+import math
 import warnings
 
 import mpmath as mp
@@ -154,6 +155,28 @@ def test_phi_limits():
     assert phi(z, INF) == pytest.approx(1.0 / z, rel=1e-15)
 
 
+#: the k-th x-derivative of phi, (-1)^k int_0^t u^k e^{-xu} du, for the
+#: orders the library computes: phi itself and phi_dd at coincident nodes
+_PHI_DERIVATIVE = {0: phi, 1: lambda x, t: phi_dd(x, x, t)}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "x, t",
+    [
+        (0.1, 5.0),
+        (0.1 + 0.9j, 5.0),
+        (0.0, 3.0),
+        (2.5 + 0.5j, 30.0),  # |xt| > 30: large-argument branches
+    ],
+)
+def test_phi_k_matches_integral(x, t, k):
+    want = (-1.0) ** k * mp.quad(
+        lambda u: u**k * mp.e ** (-_mpc(x) * u), [0, t]
+    )
+    _close(_PHI_DERIVATIVE[k](x, t), complex(want), rel=5e-13)
+
+
 def _mp_phi_dd(a, b, t):
     """(phi(a,t) - phi(b,t))/(a - b) at 120 digits; the a-derivative at a = b."""
     with mp.workdps(120):
@@ -249,6 +272,16 @@ def test_jint_with_a_vanishing_outer_decay(z):
     # by z cancels all digits; jint = (phi(w) - phi(z))/(z - w)
     w, t = 0.05 * (1.0 - 1e-7j), 240.0
     _close(jint(z, w, t), -_mp_phi_dd(w, z, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1])
+def test_mint_matches_double_integral(k):
+    # the tau'^k-weighted double integral is (-1)^k d^k jint/dw^k; for
+    # k = 1 that is minus jint_dw at coincident inner decays
+    z, w, t = 0.06 + 0.04j, 0.09, 6.0
+    _close(-jint_dw(z, w, w, t), _mp_mint(z, w, t, k), rel=1e-10)
+    want_inf = math.factorial(k) / (z * w ** (k + 1))
+    _close(-jint_dw(z, w, w, INF), want_inf, rel=1e-14)
 
 
 def test_jint_dw_separated_equals_quotient():
