@@ -4,8 +4,8 @@ Closed-form transition-operator solutions for the four-level collective
 basis (ground, doubly excited, symmetric, antisymmetric), with
 direction-resolved emission rates and radiation spectra, cross-checked
 by an independent numerical oracle (the Lindblad generator of the
-waveguide master equation, integrated and exactly propagated, plus
-brute-force double-time quadrature).
+waveguide master equation, integrated in its rotating frame, and block
+matrix exponentials for the double-time spectrum integral).
 
 Conventions: hbar = 1, the qubit frequency Omega is the frequency unit,
 Gamma = gamma_ratio * Omega is the single-qubit decay rate into the

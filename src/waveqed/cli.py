@@ -309,7 +309,8 @@ def _validate_rates(gamma_ratio: float) -> list:
     from .oracle import QuadratureConfig, quadrature_rates
 
     checks = []
-    config = QuadratureConfig(T=10.0, n_steps=256)
+    # the step of a 256-point grid to Gamma t = 10, out to Gamma t = 30
+    config = QuadratureConfig(T=30.0, n_steps=768)
     cases = (("S", 2 * _PI), ("eg", 0.5 * _PI))
     for initial, k0d in cases:
         rho0 = preset_state(initial)
@@ -322,7 +323,7 @@ def _validate_rates(gamma_ratio: float) -> list:
 
 
 def _validate_spectra(gamma_ratio: float) -> list:
-    """Analytic spectral density against brute-force quadrature."""
+    """Analytic spectral density against the block-exponential oracle."""
     from .oracle import QuadratureConfig, quadrature_spectrum
 
     checks = []

@@ -14,20 +14,25 @@ complex matrix L, and the propagator Phi(t) = exp(L t) carries every
 vacuum-averaged transition operator: column 4i+j of Phi(t) is
 vec(<P_ij(t)>).  No closed-form coefficient is used on the way.
 
-* integrate_transition_odes drives dPhi/dt = L Phi with an adaptive
-  integrator and hands each Phi(t) back as a TransitionOperatorState,
-  whose layout is this one.
+The bare part H0 = Omega sum_n s_n^+ s_n has a diagonal superoperator
+L0 that commutes with L (the excitation number is conserved; checked
+entry by entry), so exp(L t) = exp(L0 t) exp((L - L0) t), and both
+routes below work in that rotating frame, off the 2 Omega clock.
 
-* quadrature_spectrum rebuilds the emission spectrum from two-time
-  qubit correlations via the quantum regression rule, then a
-  brute-force 2D trapezoid over (tau, tau').  On the uniform grid the
-  propagator is exact: one matrix exponential exp(L h) (Al-Mohy &
-  Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) and repeated
-  products.  The kernel only depends on the time lag through the
-  propagated raising operator and on the base time through the evolved
-  density matrix, so the double sum collapses to prefix sums over the
-  base index -- an O(n) reformulation of the O(n^2) product, exact to
-  rounding (verified against the naive double loop).
+* integrate_transition_odes drives Phi with an adaptive integrator and
+  returns each Phi(t) as a TransitionOperatorState (this layout).
+
+* quadrature_spectrum rebuilds the spectrum from two-time correlations
+  via the quantum regression rule: the photon number at the horizon T,
+
+      N(omega, T) = 2 Gamma Re int_0^T ds int_0^s dtau
+                    r0^T exp(L tau) R exp((L - i omega)(s - tau)) v,
+
+  is one block of the exponential of a 33x33 block-triangular matrix
+  (Van Loan, IEEE TAC 23, 395, 1978; scipy's expm after Al-Mohy &
+  Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009), with no grid.
+  quadrature_rates takes the equal-time correlation on a grid, with Phi
+  stepped exactly by powers of exp(L h).
 
 Times handed to these functions are absolute (units of 1/Omega), like
 everywhere else in the package; the config horizons T and t_max are in
@@ -50,6 +55,7 @@ from .core import (
     Direction,
     SystemParams,
     collective_rates,
+    phase_factors,
 )
 from .coupling import QubitArray, coupling_matrices
 from .transition_operator import TransitionOperatorState
@@ -70,6 +76,19 @@ _SM2[2, 1] = _SQ2
 _SM2[3, 1] = -_SQ2
 _SM1.flags.writeable = False
 _SM2.flags.writeable = False
+
+# bare Hamiltonian H0 = Omega sum_n s_n^+ s_n, diagonal in (G, E, S, A), and
+# the diagonal l0 of its superoperator L0 = i(kron(H0, I) - kron(I, H0^T))
+_H0 = OMEGA * (_SM1.conj().T @ _SM1 + _SM2.conj().T @ _SM2)
+_L0 = 1j * np.subtract.outer(_H0.diagonal(), _H0.diagonal()).ravel()
+_L0.flags.writeable = False
+
+#: quadrature_spectrum refuses where ||M||_1 T_eff exceeds this; 1e-4 rad
+#: from n*pi it is 2e11 with the spectrum good to 1e-7, 1e-6 rad away the
+#: error passes 1e-3, and from 1e-9 rad on expm returns NaN
+MAX_NORM_HORIZON = 1e13
+# rows per product in quadrature_rates; 256 rows wake a second BLAS thread
+_ROWS = 64
 
 
 class OracleError(RuntimeError):
@@ -102,7 +121,11 @@ class OdeConfig:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation horizon T (units 1/Gamma) and per-axis grid resolution."""
+    """Horizons of the spectrum and rate oracles.
+
+    T (units 1/Gamma) is the minimum horizon of quadrature_spectrum and
+    the end of the rates grid; n_steps sets only that grid.
+    """
 
     T: float = 40.0
     n_steps: int = 4096
@@ -113,16 +136,19 @@ class QuadratureConfig:
             raise ValueError(f"n_steps must be an integer >= 64, got {self.n_steps!r}")
 
 
+# one entry: an ODE check with its rates and spectra stays at one spacing
+@lru_cache(maxsize=1)
 def _adjoint_generator(params: SystemParams) -> np.ndarray:
     """16x16 matrix L with d vec(X)/dt = L @ vec(X) for Heisenberg operators X.
 
     Row-major vec throughout, so vec(A X B) = kron(A, B.T) @ vec(X).
-    The coherent exchange alpha_nm enters H with a minus sign.
+    The coherent exchange alpha_nm enters H with a minus sign.  Each entry
+    (l0_i - l0_j) L_ij of [L0, L] must be exactly 0.0.  Read-only.
     """
     cm = coupling_matrices(QubitArray((0.0, params.k0d)), params)
     lowering = (_SM1, _SM2)
     eye = np.eye(4)
-    ham = OMEGA * sum(sm.conj().T @ sm for sm in lowering)
+    ham = _H0
     gen = np.zeros((16, 16), dtype=complex)
     for n, sn in enumerate(lowering):
         for m, sm in enumerate(lowering):
@@ -133,7 +159,12 @@ def _adjoint_generator(params: SystemParams) -> np.ndarray:
             gen += cm.gamma_nm[n, m] * (
                 np.kron(a, b.T) - 0.5 * np.kron(ab, eye) - 0.5 * np.kron(eye, ab.T)
             )
-    return gen + 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    gen += 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    if np.any(np.subtract.outer(_L0, _L0) * gen):
+        raise OracleError("[L0, L] != 0: the generator does not conserve the "
+                          "excitation number, so the rotating frame does not apply")
+    gen.flags.writeable = False
+    return gen
 
 
 def integrate_transition_odes(
@@ -141,7 +172,9 @@ def integrate_transition_odes(
 ) -> list:
     """Numerically integrate the propagator of all elements over t_grid.
 
-    t_grid holds absolute times, sorted and nonnegative.  Returns one
+    t_grid holds absolute times, sorted and nonnegative.  The integrator
+    solves dPhi~/dt = (L - L0) Phi~ in the frame of the bare Hamiltonian,
+    and Phi(t) = diag(exp(l0 t)) Phi~(t) is exact.  Returns one
     TransitionOperatorState per grid time.
     """
     t = np.asarray(t_grid, dtype=float)
@@ -159,38 +192,27 @@ def integrate_transition_odes(
     if t[-1] == 0.0:
         return [TransitionOperatorState(float(ti), np.eye(16, dtype=complex))
                 for ti in t]
-    # real block form [Re Phi; Im Phi], so every solve_ivp method applies
-    L = _adjoint_generator(params)
-    real_gen = np.block([[L.real, -L.imag], [L.imag, L.real]])
+    # real block form [Re Phi~; Im Phi~], so every solve_ivp method applies
+    slow = _adjoint_generator(params) - np.diag(_L0)
+    real_gen = np.block([[slow.real, -slow.imag], [slow.imag, slow.real]])
     sol = solve_ivp(
-        lambda _t, y: (real_gen @ y.reshape(32, 16)).ravel(),
-        (0.0, float(t[-1])),
+        lambda _t, y: (real_gen @ y.reshape(32, 16)).ravel(), (0.0, float(t[-1])),
         TransitionOperatorState(0.0, np.eye(16, dtype=complex)).to_vector(),
-        t_eval=t,
-        method=config.method,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
+        t_eval=t, method=config.method, rtol=config.rel_tol, atol=config.abs_tol,
     )
     if not sol.success:
         t_last = sol.t[-1] if sol.t.size else 0.0
-        raise OracleError(
-            f"ODE integration stalled at Gamma*t = {params.gamma * t_last:.6g}: "
-            f"{sol.message}"
-        )
-    return [
-        TransitionOperatorState.from_vector(float(ti), y)
-        for ti, y in zip(sol.t, sol.y.T)
-    ]
+        raise OracleError(f"ODE integration stalled at Gamma*t = "
+                          f"{params.gamma * t_last:.6g}: {sol.message}")
+    # back to the lab frame: Phi(t) = diag(exp(l0 t)) Phi~(t)
+    slow_states = map(TransitionOperatorState.from_vector, sol.t.tolist(), sol.y.T)
+    return [TransitionOperatorState(st.t, np.exp(_L0 * st.t)[:, None] * st.phi)
+            for st in slow_states]
 
 
-def _raised(phi: np.ndarray, lowering: np.ndarray) -> np.ndarray:
-    """Heisenberg-evolved raising operator(s), Phi @ vec(s^+), as 4x4 matrices."""
-    return (phi @ lowering.conj().T.ravel()).reshape(phi.shape[:-2] + (4, 4))
-
-
-def _evolved_vec(rho0: DickeDensity, phi: np.ndarray) -> np.ndarray:
-    """rv with rv[..., 4q + l] = <l|rho(t)|q> = Tr(rho0 <P_ql(t)>)."""
-    return rho0.matrix().T.ravel() @ phi
+def _state_vec(rho0: DickeDensity) -> np.ndarray:
+    """r0 = vec(rho0^T), so that r0 @ Phi(t) = vec(rho(t)^T)."""
+    return rho0.matrix().T.ravel()
 
 
 def correlation_function(
@@ -218,94 +240,62 @@ def correlation_function(
     if tau < tau_prime:
         return complex(correlation_function(m, n, tau_prime, tau, rho0, params)).conjugate()
     L = _adjoint_generator(params)
-    sp = _raised(expm(L * (tau - tau_prime)), _SM1 if n == 1 else _SM2)
+    raised = (_SM1 if n == 1 else _SM2).conj().T.ravel()
+    sp = (expm(L * (tau - tau_prime)) @ raised).reshape(4, 4)
     sm = _SM1 if m == 1 else _SM2
-    rho_tau = _evolved_vec(rho0, expm(L * tau_prime)).reshape(4, 4).T
+    rho_tau = (_state_vec(rho0) @ expm(L * tau_prime)).reshape(4, 4).T
     return complex(np.trace(rho_tau @ (sp @ sm)))
 
 
-# one entry: a build is cheap now, and callers reuse the tables of one
-# spacing across states and directions before moving on to the next
-@lru_cache(maxsize=1)
-def _kernel_tables(gamma_ratio: float, k0d: float, n_eff: int, h: float) -> tuple:
-    """Exact propagator and correlation ingredients on a uniform grid.
+def _emission_vectors(params: SystemParams, direction: Direction) -> tuple:
+    """(v, R) of the emitted field in one direction, qubits at x = (0, k0d).
 
-    Returns (phi, P11, P22, P12, P21): phi[j] = exp(L j h) is the
-    propagator at every grid time, and the P-stacks are the four
-    raised-times-lowering operator products at every lag, flattened
-    row-major.
+    v = sum_n e^{i k x_n} vec(s_n^+) and R = sum_m e^{-i k x_m} kron(I, s_m^T),
+    i.e. vec(X) -> vec(X sum_m e^{-i k x_m} s_m).  The phase is snapped with
+    phase_factors, like the couplings, so dark lines come out exactly dark.
     """
-    params = SystemParams(gamma_ratio=gamma_ratio, k0d=k0d)
-    step = expm(_adjoint_generator(params) * h)
-    phi = np.empty((n_eff + 1, 16, 16), dtype=complex)
-    phi[0] = np.eye(16)
-    for j in range(n_eff):
-        np.matmul(phi[j], step, out=phi[j + 1])
-    sp1, sp2 = _raised(phi, _SM1), _raised(phi, _SM2)
-    products = [
-        (sp @ sm).reshape(n_eff + 1, 16)
-        for sp, sm in ((sp1, _SM1), (sp2, _SM2), (sp1, _SM2), (sp2, _SM1))
-    ]
-    tables = (phi, *products)
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+    c, s = phase_factors(params.k0d)
+    lowering = _SM1 + complex(c, -direction.sign * s) * _SM2  # sum_m e^{-i k x_m} s_m
+    return lowering.conj().T.ravel(), np.kron(np.eye(4), lowering.T)
 
 
-#: the quadrature extends its grid to at most this many points; the
-#: tables take 5,120 bytes a point (one 16x16 complex propagator and
-#: four 16-entry complex products), about 335 MB here
-MAX_GRID_POINTS = 65_536
-
-
-def _effective_grid(params: SystemParams, config: QuadratureConfig) -> tuple:
-    """(n_eff, h): the requested grid, extended if a channel decays slowly.
-
-    The t -> inf spectrum is only reached once every bright channel has
-    rung down to ~1e-6, i.e. T > 2 ln(1e6)/Gamma_min with Gamma_min the
-    smallest nonzero collective rate.  Extra points are added at fixed
-    step so resolution is never traded away for reach.  Channels with
-    exactly zero rate never decay and are excluded: their weight in the
-    emission kernel is exactly zero.  A grid above MAX_GRID_POINTS
-    (a spacing close to n*pi) raises OracleError before any table exists.
-    """
+def _gamma_min(params: SystemParams) -> float:
+    """Smallest nonzero collective rate; an exactly dark channel never emits."""
     r = collective_rates(params)
-    gamma_min = min(g for g in (r.gamma_plus, r.gamma_minus) if g > 0.0)
-    t_base = config.T / params.gamma
-    h = t_base / config.n_steps
-    n_need = 2.0 * math.log(1e6) / gamma_min / h
-    if n_need > MAX_GRID_POINTS:
+    return min(g for g in (r.gamma_plus, r.gamma_minus) if g > 0.0)
+
+
+def _photon_number(
+    rho0: DickeDensity, params: SystemParams, direction: Direction, omegas, t: float
+) -> np.ndarray:
+    """N(omega, t) of the mode (direction, omega), one block exponential per omega.
+
+    By Van Loan, expm(M t) with M = [[0, v^T, 0], [0, (L - i omega)^T, R^T],
+    [0, 0, L^T]] holds the transposed nested integral of the module
+    docstring in its top-right block.  v lies where l0 = i Omega and R
+    maps it to where l0 = 0, so M is built from L - L0 and omega - Omega,
+    which halves ||M||_1 and, 1e-4 rad from 2*pi, cuts the error eightfold.
+    """
+    slow = _adjoint_generator(params) - np.diag(_L0)
+    v, R = _emission_vectors(params, direction)
+    m = np.zeros((omegas.size, 33, 33), dtype=complex)
+    m[:, 0, 1:17] = v
+    m[:, 1:17, 1:17] = slow.T - 1j * (omegas[:, None, None] - OMEGA) * np.eye(16)
+    m[:, 1:17, 17:] = R.T
+    m[:, 17:, 17:] = slow.T
+    m *= t
+    norm = float(np.abs(m).sum(axis=-2).max())
+    where = (f"Gamma_min/Gamma = {_gamma_min(params) / params.gamma:.3g}, "
+             f"Gamma T_eff = {params.gamma * t:.3g}")
+    if not norm <= MAX_NORM_HORIZON:
         raise OracleError(
-            f"quadrature grid needs n_eff = {math.ceil(n_need):.6g} points for "
-            f"Gamma_min/Gamma = {gamma_min / params.gamma:.3g}, about "
-            f"{(n_need + 1) * 5120 / 1e6:.3g} MB of tables; the limit is "
-            f"{MAX_GRID_POINTS} points"
+            f"||M||_1 T_eff = {norm:.3g} > {MAX_NORM_HORIZON:.0e} at {where}: the slowest "
+            "bright channel is too close to dark for the block exponential"
         )
-    return max(config.n_steps, math.ceil(n_need)), h
-
-
-def _lag_sums(rho0: DickeDensity, params: SystemParams, direction: Direction,
-              config: QuadratureConfig) -> tuple:
-    """Per-lag weighted sums SS_d and the equal-time diagonal of the kernel."""
-    n_eff, h = _effective_grid(params, config)
-    phi, p11, p22, p12, p21 = _kernel_tables(
-        params.gamma_ratio, params.k0d, n_eff, h
-    )
-    kd = direction.sign * params.k0d
-    bv = p11 + p22 + np.exp(-1j * kd) * p12 + np.exp(1j * kd) * p21
-    rv = _evolved_vec(rho0, phi)
-    n = n_eff
-    wts = np.full(n + 1, h)
-    wts[0] = wts[-1] = 0.5 * h
-    prefix = np.cumsum(wts[:, None] * rv, axis=0)
-    lags = np.arange(1, n + 1)
-    base = n - lags  # highest base index contributing at each lag
-    corr = h * prefix[base] - 0.5 * h * wts[base, None] * rv[base]
-    ss = np.empty(n + 1, dtype=complex)
-    ss[0] = (wts**2 @ rv) @ bv[0]
-    ss[1:] = np.einsum("ij,ij->i", corr, bv[lags])
-    diag = 0.5 * params.gamma * np.real(rv @ bv[0])
-    return ss, diag, h, n_eff
+    values = 2.0 * params.gamma * np.real(expm(m)[:, 0, 17:] @ _state_vec(rho0))
+    if not np.all(np.isfinite(values)):
+        raise OracleError(f"block exponential not finite at {where}")
+    return values
 
 
 def quadrature_spectrum(
@@ -315,25 +305,17 @@ def quadrature_spectrum(
     omega,
     config: QuadratureConfig = QuadratureConfig(),
 ):
-    """Emission spectrum by brute-force double-time quadrature.
+    """Emission spectrum as the photon number at the horizon T_eff.
 
-    Trapezoid rule over [0, T]^2 of the phase-weighted two-time
-    correlation kernel, with the triangle above/below the diagonal
-    related by conjugation.  Converges to the t = T photon number of
-    the analytic route as the grid refines; T is auto-extended for
-    slowly decaying channels (see _effective_grid).  omega may be a
-    scalar or an array.
+    T_eff = max(T/Gamma, 2 ln(1e6)/Gamma_min): the t -> inf spectrum is
+    reached once every bright channel has rung down to ~1e-6.  Within
+    about 1e-5 rad of n*pi that horizon is too long for the block
+    exponential, and OracleError names Gamma_min/Gamma and T_eff.  omega
+    may be a scalar or an array.
     """
-    ss, _diag, h, _n = _lag_sums(rho0, params, direction, config)
-    if abs(ss[0].imag) > 1e-10 * (abs(ss[0].real) + 1.0):
-        raise OracleError(
-            f"equal-time kernel sum should be real, got {ss[0]:.3e}; "
-            "the correlation assembly is inconsistent"
-        )
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    lags = np.arange(1, ss.size)
-    phases = np.exp(-1j * np.outer(omegas, lags * h))
-    values = params.gamma * (2.0 * np.real(phases @ ss[1:]) + ss[0].real)
+    t_eff = max(config.T / params.gamma, 2.0 * math.log(1e6) / _gamma_min(params))
+    values = _photon_number(rho0, params, direction, omegas, t_eff)
     return float(values[0]) if np.isscalar(omega) else values
 
 
@@ -343,11 +325,25 @@ def quadrature_rates(
     direction: Direction,
     config: QuadratureConfig = QuadratureConfig(),
 ) -> tuple:
-    """(t_grid, W(t)) from the equal-time diagonal of the same kernel.
+    """(t_grid, W(t)) at t_j = j T/(Gamma n_steps), j = 0 .. n_steps.
 
-    The instantaneous one-direction emission rate is Gamma/2 times the
-    equal-time correlation; reusing the quadrature tables makes this a
-    propagator-backed rate oracle for free.
+    The one-direction emission rate is the equal-time correlation
+    W(t) = (Gamma/2) Re r0^T Phi(t) R v.  Phi(t_j) R v is the j-th power
+    of one exact step exp(L h) applied to R v, taken by doubling up to
+    _ROWS rows and then _ROWS rows per batched product.
     """
-    _ss, diag, h, n_eff = _lag_sums(rho0, params, direction, config)
-    return np.arange(n_eff + 1) * h, diag
+    n = config.n_steps
+    h = config.T / params.gamma / n
+    v, R = _emission_vectors(params, direction)
+    y = np.empty((n + 1, 16), dtype=complex)  # y[j] = Phi(t_j) R v
+    y[0] = R @ v
+    done, width, power = 1, 1, expm(_adjoint_generator(params) * h)
+    while done <= n:  # power = Phi(width h)
+        count = min(width, n + 1 - done)
+        y[done:done + count] = y[done - width:done - width + count] @ power.T
+        done += count
+        if width < _ROWS:
+            width, power = 2 * width, power @ power
+    # einsum, not y @ r0: BLAS threads a matrix-vector product this long
+    return np.arange(n + 1) * h, 0.5 * params.gamma * np.real(
+        np.einsum("jk,k->j", y, _state_vec(rho0)))

@@ -213,17 +213,14 @@ def test_criterion_6_spectrum_oracle_agreement():
     """All presets, both directions, seven spacings, 11 detector points."""
     config = QuadratureConfig(T=40.0, n_steps=4096)
     omegas = 1.0 + np.linspace(-5.0 * GAMMA, 5.0 * GAMMA, 11)
-    # k0d in the outer loop so the cached correlation tables get reused
-    # across presets and directions
+    # k0d in the outer loop so the cached generator is reused across
+    # presets and directions
     for k0d in (0.25 * PI, 0.5 * PI, 0.75 * PI, PI, 1.25 * PI, 1.5 * PI, 2 * PI):
         params = SystemParams(gamma_ratio=GAMMA, k0d=k0d)
         for name in PRESET_NAMES:
             rho0 = preset_state(name)
             for direction in (F, B):
-                closed = np.array(
-                    [spectral_density(rho0, params, direction, float(w))
-                     for w in omegas]
-                )
+                closed = spectral_density(rho0, params, direction, omegas)
                 oracle = quadrature_spectrum(rho0, params, direction, omegas, config)
                 gap = float(np.max(np.abs(oracle - closed)))
                 scale = float(np.max(np.abs(closed)))

@@ -4,7 +4,9 @@ Hypothesis draws random positive semidefinite 4x4 density matrices and
 spacings k0d, both uniform and within 1e-6 ... 1e-15 of a multiple of
 pi, where the collective channels become degenerate and the closed
 forms switch onto their snapped limits.  Every property holds for each
-draw, not only for the presets.
+draw, not only for the presets.  The last two check the oracle's own
+ground: its rotating frame, and its block exponential against the
+finite-t photon number.
 """
 
 import math
@@ -22,7 +24,8 @@ from waveqed.core import (
     collective_rates,
 )
 from waveqed.observables import emission_rate, radiated_energy, transition_probability
-from waveqed.spectra import spectral_density
+from waveqed.oracle import _L0, _adjoint_generator, _photon_number
+from waveqed.spectra import photon_number, spectral_density
 from waveqed.transition_operator import population_elements
 
 GAMMA = 0.05
@@ -266,3 +269,25 @@ def test_spectral_area_is_4_pi_times_the_radiated_energy(rho, k0d):
         spectrum = spectral_density(state, params, direction, omegas)
         area = np.sum(THETA_WEIGHTS * jacobian * spectrum)
         assert abs(area - 4.0 * math.pi * radiated_energy(state, params, direction)) <= 1e-10
+
+
+@PROPERTY
+@given(k0d=SPACINGS)
+def test_the_bare_frame_commutes_with_the_generator(k0d):
+    # [L0, L] has entries (l0_i - l0_j) L_ij: exactly zero, not just small
+    L = _adjoint_generator(SystemParams(GAMMA, k0d))
+    assert not np.any(np.subtract.outer(_L0, _L0) * L)
+
+
+@PROPERTY
+@given(rho=densities(), k0d=SPACINGS, gt=st.sampled_from((0.5, 4.0, 12.0, 40.0)))
+def test_photon_number_matches_the_block_exponential(rho, k0d, gt):
+    # the only pointwise check of the finite-t kernel by a route that
+    # shares none of its algebra
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    omegas = 1.0 + GAMMA * np.linspace(-7.0, 7.0, 15)
+    t = gt / GAMMA
+    for direction in (F, B):
+        loop = [photon_number(state, params, direction, float(w), t) for w in omegas]
+        _assert_close(_photon_number(state, params, direction, omegas, t), loop, 1e-12)

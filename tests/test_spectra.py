@@ -180,7 +180,7 @@ def test_symmetric_line_area_with_tail_correction(k0d):
     params = _params(k0d)
     half_width = 50.0 * GAMMA
     omegas = np.linspace(1.0 - half_width, 1.0 + half_width, 16001)
-    values = [spectral_density(preset_state("S"), params, F, float(w)) for w in omegas]
+    values = spectral_density(preset_state("S"), params, F, omegas)
     area = simpson(values, x=omegas) + line_tail_area(params, half_width, DickeState.S)
     assert area == pytest.approx(2.0 * math.pi, rel=2e-4)
 
@@ -194,7 +194,7 @@ def test_tail_correction_edge_cases():
     params = _params(0.5 * math.pi)
     half_width = 20.0 * GAMMA
     omegas = np.linspace(1.0 - half_width, 1.0 + half_width, 16001)
-    values = [spectral_density(preset_state("A"), params, B, float(w)) for w in omegas]
+    values = spectral_density(preset_state("A"), params, B, omegas)
     area = simpson(values, x=omegas) + line_tail_area(params, half_width, DickeState.A)
     assert area == pytest.approx(2.0 * math.pi, rel=5e-4)
 
