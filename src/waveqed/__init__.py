@@ -34,17 +34,15 @@ from .core import (
     phase_factors,
     preset_state,
 )
-from .coupling import CouplingMatrices, QubitArray, coupling_matrices
+from .coupling import CouplingMatrices, coupling_matrices
 from .observables import (
     emission_rate,
     radiated_energy,
     transition_probability,
 )
 from .spectra import (
-    Detunings,
     PeakAnalysis,
     SpectrumSample,
-    detunings,
     line_tail_area,
     peak_analysis,
     photon_number,
@@ -73,7 +71,6 @@ __all__ = [
     "phase_factors",
     "preset_state",
     "CouplingMatrices",
-    "QubitArray",
     "coupling_matrices",
     "emission_rate",
     "radiated_energy",
@@ -81,14 +78,11 @@ __all__ = [
     "OdeConfig",
     "OracleError",
     "QuadratureConfig",
-    "correlation_function",
     "integrate_transition_odes",
     "quadrature_rates",
     "quadrature_spectrum",
-    "Detunings",
     "PeakAnalysis",
     "SpectrumSample",
-    "detunings",
     "line_tail_area",
     "peak_analysis",
     "photon_number",
@@ -99,8 +93,8 @@ __all__ = [
     "population_elements",
 ]
 
-_ORACLE_NAMES = ("OdeConfig", "OracleError", "QuadratureConfig", "correlation_function",
-                 "integrate_transition_odes", "quadrature_rates", "quadrature_spectrum")
+_ORACLE_NAMES = ("OdeConfig", "OracleError", "QuadratureConfig", "integrate_transition_odes",
+                 "quadrature_rates", "quadrature_spectrum")
 
 
 def __getattr__(name):

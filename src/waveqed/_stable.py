@@ -5,20 +5,23 @@ Every closed-form observable in this package reduces to combinations of
     phi(x, t)      = int_0^t e^{-x tau} dtau
     jint(z, w, t)  = int_0^t dtau int_0^tau dtau' e^{-z(tau-tau')} e^{-w tau'}
 
-and divided differences of these in their parameters, each one a
-divided difference of e^{-xt}: dexp over two nodes, phi over {x, 0} and
-phi_dd over {a, b, 0}.  The naive quotients lose all precision when two
-nodes approach each other or 0, which happens systematically at the
-bright/dark points of the waveguide (cos k0d -> +-1).  The forms here
-stay exact there and sum no series, except phi_dd's Taylor branch
-(about 20 terms, only while all three nodes lie within 1/t).
+and the four-node jint_dz, each a divided difference of f(x) = e^{-xt}:
+dexp = f[x, y], phi = -f[x, 0], phi_dd = -f[a, b, 0], jint(z, w) =
+f[z, w, 0] and jint_dz(z1, z2, w) = f[z1, z2, w, 0].  Node order does
+not matter, so jint_dz(z, w1, w2) is also the difference of jint in w,
+exact at w1 = w2 provided z lies at least Gamma from w1.  The naive
+quotients lose all precision when two nodes approach each other or 0,
+which happens systematically at the bright/dark points of the waveguide
+(cos k0d -> +-1).  The forms here stay exact there and sum no series,
+except phi_dd's Taylor branch (about 20 terms, only while all three
+nodes lie within 1/t).
 
 t = math.inf is accepted wherever the integral converges (real parts of
 the relevant exponents > 0) and returns the exact limit.  sinch and dexp
 (for any finite t >= 0) broadcast over numpy arrays, and so do the
-t = inf limits of jint, jint_dz and jint_dw (rational in their
-arguments); the finite-t phi, phi_dd and with them jint, jint_dz and
-jint_dw branch on the size of their arguments and take complex scalars.
+t = inf limits of jint and jint_dz (rational in their arguments); the
+finite-t phi, phi_dd and with them jint and jint_dz branch on the size
+of their arguments and take complex scalars.
 """
 
 from __future__ import annotations
@@ -67,9 +70,7 @@ def phi(x: complex, t: float) -> complex:
         return 1.0 / x
     if x == 0:
         return complex(t)
-    if abs(x * t) <= 30.0:
-        return -np.expm1(-x * t) / x
-    return (1.0 - np.exp(-x * t)) / x
+    return -np.expm1(-x * t) / x
 
 
 def phi_dd(a: complex, b: complex, t: float) -> complex:
@@ -119,23 +120,11 @@ def jint(z: complex, w: complex, t: float) -> complex:
     return -phi_dd(w, z, t)
 
 
-def jint_dw(z: complex, w1: complex, w2: complex, t: float) -> complex:
-    """(jint(z,w1,t) - jint(z,w2,t))/(w1 - w2), stable for w1 ~ w2.
-
-    From jint = (phi(w,t) - e^{-zt} phi(w-z,t))/z, the divided
-    difference in w is (phi_dd(w1, w2) - e^{-zt} phi_dd(w1-z, w2-z))/z,
-    exact at w1 = w2.  Requires z != 0.
-    """
-    if t == INF:
-        return -1.0 / (z * w1 * w2)
-    return (phi_dd(w1, w2, t) - np.exp(-z * t) * phi_dd(w1 - z, w2 - z, t)) / z
-
-
 def jint_dz(z1: complex, z2: complex, w: complex, t: float) -> complex:
-    """(jint(z1,w,t) - jint(z2,w,t))/(z1 - z2).
+    """(jint(z1,w,t) - jint(z2,w,t))/(z1 - z2) = f[z1, z2, w, 0].
 
-    Callers only use it with |z1 - z2| >= Gamma, so the direct quotient
-    is always safe.
+    Requires |z1 - z2| >= Gamma, where the direct quotient is safe; w
+    may equal z1 or z2, because jint is exact at coincident nodes.
     """
     if t == INF:
         return -1.0 / (z1 * z2 * w)

@@ -20,6 +20,7 @@ direction carries the interference lobe.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ OMEGA = 1.0  # qubit resonance frequency, the frequency unit
 #: phase_factors
 _TRIG_SNAP = 1e-12
 
-#: spacings whose phase factors and collective rates are kept
+#: spacings whose collective rates are kept
 _RATE_CACHE_SIZE = 256
 
 
@@ -79,7 +80,6 @@ class _TotalSentinel:
 TOTAL = _TotalSentinel()
 
 
-@functools.lru_cache(maxsize=_RATE_CACHE_SIZE)
 def phase_factors(k0d: float) -> tuple[float, float]:
     """(cos k0d, sin k0d) with dust snapped off at the n*pi points.
 
@@ -184,33 +184,17 @@ def first_failure(values, mask):
     return np.ravel(values)[~np.ravel(mask)][0]
 
 
-def _check_density(
-    m: np.ndarray,
-    trace_tol: float = 1e-8,
-    herm_tol: float = 1e-10,
-    psd_tol: float = 1e-10,
-) -> None:
-    """Raise ValueError naming the first broken rule of a 4x4 density matrix.
-
-    The rules, in order: trace = 1, Hermiticity, positive semidefiniteness.
-    """
-    trace = m.trace()
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(
-            f"density matrix trace must equal 1 within {trace_tol:g}, got {trace:.12g}"
-        )
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > herm_tol:
-        raise ValueError(
-            f"density matrix must be Hermitian within {herm_tol:g}, "
-            f"max |rho - rho^dag| = {herm_dev:.3g}"
-        )
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-    if min_eig < -psd_tol:
-        raise ValueError(
-            f"density matrix must be positive semidefinite within {psd_tol:g}, "
-            f"smallest eigenvalue = {min_eig:.3g}"
-        )
+#: (field, row, column) of each stored DickeDensity entry in the (G, E, S, A)
+#: matrix; the entry at (column, row) is its conjugate
+_ENTRIES = (
+    ("pGG", 0, 0), ("pEE", 1, 1), ("pSS", 2, 2), ("pAA", 3, 3),
+    ("pSA", 2, 3), ("pGE", 0, 1), ("pGS", 0, 2), ("pGA", 0, 3),
+    ("pSE", 2, 1), ("pAE", 3, 1),
+)
+_POPULATIONS = ("pEE", "pSS", "pAA", "pGG")
+_TRACE_TOL = 1e-8
+_HERM_TOL = 1e-10
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -222,6 +206,10 @@ class DickeDensity:
     so arbitrary pure/mixed initial states round-trip.  pAS is always
     the conjugate of pSA (computed, never stored) so Hermiticity cannot
     drift.
+
+    Construction raises ValueError naming the first broken rule, in
+    this order: every entry finite, trace = 1 within 1e-8, positive
+    semidefinite within 1e-10, populations in [0, 1].
     """
 
     pEE: float = 0.0
@@ -236,11 +224,26 @@ class DickeDensity:
     pAE: complex = 0j
 
     def __post_init__(self) -> None:
-        for name in ("pEE", "pSS", "pAA", "pGG"):
+        for name, _i, _j in _ENTRIES:
+            v = getattr(self, name)
+            if not cmath.isfinite(v):
+                raise ValueError(f"density matrix entry {name} must be finite, got {v!r}")
+        m = self.matrix()
+        trace = m.trace()
+        if abs(trace - 1.0) > _TRACE_TOL:
+            raise ValueError(
+                f"density matrix trace must equal 1 within {_TRACE_TOL:g}, got {trace:.12g}"
+            )
+        min_eig = float(np.linalg.eigvalsh(m).min())
+        if min_eig < -_PSD_TOL:
+            raise ValueError(
+                f"density matrix must be positive semidefinite within {_PSD_TOL:g}, "
+                f"smallest eigenvalue = {min_eig:.3g}"
+            )
+        for name in _POPULATIONS:
             v = getattr(self, name)
             if not -1e-9 <= v <= 1.0 + 1e-9:
                 raise ValueError(f"population {name} out of [0, 1]: {v!r}")
-        _check_density(self.matrix())
 
     @property
     def pAS(self) -> complex:
@@ -249,55 +252,34 @@ class DickeDensity:
     def matrix(self) -> np.ndarray:
         """The 4x4 complex matrix in (G, E, S, A) order."""
         m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = self.pGG
-        m[1, 1] = self.pEE
-        m[2, 2] = self.pSS
-        m[3, 3] = self.pAA
-        m[2, 3] = self.pSA
-        m[3, 2] = self.pSA.conjugate()
-        m[0, 1] = self.pGE
-        m[1, 0] = self.pGE.conjugate()
-        m[0, 2] = self.pGS
-        m[2, 0] = self.pGS.conjugate()
-        m[0, 3] = self.pGA
-        m[3, 0] = self.pGA.conjugate()
-        m[2, 1] = self.pSE
-        m[1, 2] = self.pSE.conjugate()
-        m[3, 1] = self.pAE
-        m[1, 3] = self.pAE.conjugate()
+        for name, i, j in _ENTRIES:
+            v = getattr(self, name)
+            m[j, i] = v.conjugate()
+            m[i, j] = v
         return m
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix: np.ndarray,
-        trace_tol: float = 1e-8,
-        herm_tol: float = 1e-10,
-        psd_tol: float = 1e-10,
-    ) -> "DickeDensity":
+    def from_matrix(cls, matrix: np.ndarray) -> "DickeDensity":
         """Validate a 4x4 matrix (G, E, S, A order) and unpack it.
 
-        Raises ValueError naming the violated rule: shape, trace = 1,
-        Hermiticity, or positive semidefiniteness.
+        Raises ValueError naming the violated rule: the shape, then the
+        rules of construction on the entries the fields hold, then
+        Hermiticity within 1e-10, which the mirrored entries must meet.
         """
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(
                 f"density matrix must be 4x4 in the (G, E, S, A) basis, got shape {m.shape}"
             )
-        _check_density(m, trace_tol, herm_tol, psd_tol)
-        return cls(
-            pGG=float(m[0, 0].real),
-            pEE=float(m[1, 1].real),
-            pSS=float(m[2, 2].real),
-            pAA=float(m[3, 3].real),
-            pSA=complex(m[2, 3]),
-            pGE=complex(m[0, 1]),
-            pGS=complex(m[0, 2]),
-            pGA=complex(m[0, 3]),
-            pSE=complex(m[2, 1]),
-            pAE=complex(m[3, 1]),
-        )
+        rho = cls(**{name: float(m[i, j].real) if i == j else complex(m[i, j])
+                     for name, i, j in _ENTRIES})
+        herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        if not herm_dev <= _HERM_TOL:  # NaN too: a non-finite mirrored entry
+            raise ValueError(
+                f"density matrix must be Hermitian within {_HERM_TOL:g}, "
+                f"max |rho - rho^dag| = {herm_dev:.3g}"
+            )
+        return rho
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -327,4 +309,4 @@ def preset_state(name: str) -> DickeDensity:
         valid = ", ".join(PRESET_NAMES)
         raise ValueError(f"unknown preset state {name!r}; valid names: {valid}") from None
     v = np.array(amps, dtype=complex)
-    return DickeDensity.from_matrix(np.outer(v, v.conj()), psd_tol=1e-12)
+    return DickeDensity.from_matrix(np.outer(v, v.conj()))

@@ -57,7 +57,7 @@ from .core import (
     collective_rates,
     phase_factors,
 )
-from .coupling import QubitArray, coupling_matrices
+from .coupling import coupling_matrices
 from .transition_operator import TransitionOperatorState
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -145,7 +145,7 @@ def _adjoint_generator(params: SystemParams) -> np.ndarray:
     The coherent exchange alpha_nm enters H with a minus sign.  Each entry
     (l0_i - l0_j) L_ij of [L0, L] must be exactly 0.0.  Read-only.
     """
-    cm = coupling_matrices(QubitArray((0.0, params.k0d)), params)
+    cm = coupling_matrices(params)
     lowering = (_SM1, _SM2)
     eye = np.eye(4)
     ham = _H0
@@ -213,38 +213,6 @@ def integrate_transition_odes(
 def _state_vec(rho0: DickeDensity) -> np.ndarray:
     """r0 = vec(rho0^T), so that r0 @ Phi(t) = vec(rho(t)^T)."""
     return rho0.matrix().T.ravel()
-
-
-def correlation_function(
-    n: int,
-    m: int,
-    tau: float,
-    tau_prime: float,
-    rho0: DickeDensity,
-    params: SystemParams,
-) -> complex:
-    """Two-time correlation of raising (qubit n) and lowering (qubit m).
-
-    Quantum regression: for tau >= tau_prime the system evolves to
-    tau_prime, the lowering operator acts, and the raised operator is
-    propagated over the lag.  The opposite ordering is the Hermitian
-    conjugate with qubits swapped, so both branches agree at equal
-    times.
-    """
-    if n not in (1, 2) or m not in (1, 2):
-        raise ValueError(f"qubit indices must be 1 or 2, got n={n}, m={m}")
-    if tau < 0.0 or tau_prime < 0.0:
-        raise ValueError(
-            f"correlation times must be nonnegative, got ({tau}, {tau_prime})"
-        )
-    if tau < tau_prime:
-        return complex(correlation_function(m, n, tau_prime, tau, rho0, params)).conjugate()
-    L = _adjoint_generator(params)
-    raised = (_SM1 if n == 1 else _SM2).conj().T.ravel()
-    sp = (expm(L * (tau - tau_prime)) @ raised).reshape(4, 4)
-    sm = _SM1 if m == 1 else _SM2
-    rho_tau = (_state_vec(rho0) @ expm(L * tau_prime)).reshape(4, 4).T
-    return complex(np.trace(rho_tau @ (sp @ sm)))
 
 
 def _emission_vectors(params: SystemParams, direction: Direction) -> tuple:

@@ -1,12 +1,12 @@
 """Per-mode photon numbers and radiation spectral densities.
 
 Everything here is one linear kernel: the time-resolved photon number
-of a detector mode at frequency omega is a weighted sum of five
-double-decay integrals (one per contributing density-matrix entry:
-pEE, pSS, pAA and the two S-A coherences), and the spectral density is
-its t -> infinity limit.  Presets never get their own code path; they
-only supply weights, so there is exactly one transcription of the
-kernel to get right.
+of a detector mode at frequency omega is a weighted sum of double-decay
+integrals jint and their divided differences jint_dz, one group per
+contributing density-matrix entry (pEE, pSS, pAA and the two S-A
+coherences), and the spectral density is its t -> infinity limit.
+Presets never get their own code path; they only supply weights, so
+there is exactly one transcription of the kernel to get right.
 
 Reported values are the dimensionless S-bar(omega): the physical
 spectral density with the waveguide quantization prefactor dropped.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import INF, jint, jint_dw, jint_dz
+from ._stable import INF, jint, jint_dz
 from .core import (
     OMEGA,
     TOTAL,
@@ -49,22 +49,6 @@ class SpectrumSample:
     value: float
     direction: Direction
     initial: DickeDensity
-
-
-@dataclass(frozen=True)
-class Detunings:
-    """Detector detunings from the two shifted collective lines."""
-
-    delta_plus: float
-    delta_minus: float
-
-
-def detunings(params: SystemParams, omega) -> Detunings:
-    """delta_+- = omega - Omega_+-; their difference is -Gamma sin k0d."""
-    r = collective_rates(params)
-    return Detunings(
-        delta_plus=omega - r.omega_plus, delta_minus=omega - r.omega_minus
-    )
 
 
 def photon_number(
@@ -100,8 +84,7 @@ def photon_number(
     gp, gm = r.gamma_plus, r.gamma_minus
     a = gp / g  # 1 + cos k0d, without cancellation
     b = gm / g  # 1 - cos k0d
-    d = detunings(params, omega)
-    dp, dm = d.delta_plus, d.delta_minus
+    dp, dm = omega - r.omega_plus, omega - r.omega_minus  # detector detunings
     sk = direction.sign * s
     z1 = 1j * dm + 0.5 * gp + g
     z2 = 1j * dp + 0.5 * gp
@@ -109,15 +92,17 @@ def photon_number(
     z5 = 1j * dm + 0.5 * gm
     total = 0.0 * dp + 0j  # +0 complex, shaped like omega
     if rho0.pEE != 0.0:
+        # jint_dz(z, 2 Gamma, Gamma_+-) is the difference in w; z = z2, z5 has
+        # real part Gamma_+-/2 <= Gamma, so it lies >= Gamma from 2 Gamma
         kernel_e = 0.0 + 0.0j
         if a != 0.0:
             kernel_e += -a * a * g * jint_dz(z1, z2, 2.0 * g, t)
             kernel_e += a * jint(z1, 2.0 * g, t)
-            kernel_e += -a * a * g * jint_dw(z2, 2.0 * g, gp, t)
+            kernel_e += -a * a * g * jint_dz(z2, 2.0 * g, gp, t)
         if b != 0.0:
             kernel_e += b * jint(z4, 2.0 * g, t)
             kernel_e += -b * b * g * jint_dz(z4, z5, 2.0 * g, t)
-            kernel_e += -b * b * g * jint_dw(z5, 2.0 * g, gm, t)
+            kernel_e += -b * b * g * jint_dz(z5, 2.0 * g, gm, t)
         total += rho0.pEE * kernel_e
     if rho0.pSS != 0.0 and a != 0.0:
         total += rho0.pSS * a * jint(z2, gp, t)

@@ -265,9 +265,13 @@ def test_density_file_projector_matches_preset(tmp_path):
             "0.25 oops 0 0\n0 0.25 0 0\n0 0 0.25 0\n0 0 0 0.25\n",
             "not a complex number",
         ),
+        ("0.5 0 0 0\n0 0 0 0\n0 0 0.25 nan\n0 0 nan 0.25\n", "entry pSA must be finite"),
+        ("0.5 nan 0 0\nnan 0.5 0 0\n0 0 0 0\n0 0 0 0\n", "entry pGE must be finite"),
+        # a non-finite mirrored entry, which no field holds, breaks Hermiticity
+        ("0.5 0 0 0\nnan 0.5 0 0\n0 0 0 0\n0 0 0 0\n", "Hermitian"),
     ],
 )
-def test_density_file_rejects_named_rule(tmp_path, text, rule):
+def test_density_file_rejects_named_rule(tmp_path, text, rule, capsys):
     """Rejection messages carry the file path and the violated rule."""
     path = tmp_path / "rho.txt"
     path.write_text(text)
@@ -275,6 +279,10 @@ def test_density_file_rejects_named_rule(tmp_path, text, rule):
         parse_density_file(path)
     assert rule in str(exc.value)
     assert "rho.txt" in str(exc.value)
+    assert main(["spectrum", "--k0d", "1.0", "--initial", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert rule in err
 
 
 # ---------------------------------------------------------------------------

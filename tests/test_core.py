@@ -157,11 +157,22 @@ def test_density_matrix_round_trip():
 def test_density_validation_trace_and_population_range():
     with pytest.raises(ValueError, match="trace"):
         DickeDensity(pEE=0.5)
-    with pytest.raises(ValueError, match="population"):
+    # the rules run in order: finite, trace, PSD, populations, so this
+    # state, outside [0, 1] and with eigenvalue -0.5, is named by PSD
+    with pytest.raises(ValueError, match="positive semidefinite"):
         DickeDensity(pEE=1.5, pGG=-0.5)
+    # trace within 1e-8 and PSD, but pEE above 1 + 1e-9
+    with pytest.raises(ValueError, match="population pEE"):
+        DickeDensity(pEE=1.0 + 5e-9)
     # populations and trace fine, but |pSA|^2 > pSS * pAA
     with pytest.raises(ValueError, match="positive semidefinite"):
         DickeDensity(pSS=0.5, pAA=0.5, pSA=10j)
+    # non-finite entries are named, not passed on as NaN spectra
+    for field, value in (("pSA", complex("nan")), ("pSA", complex("infj")),
+                         ("pGE", complex("nan")), ("pSS", math.inf)):
+        fields = {"pSS": 0.5, "pAA": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"entry {field} must be finite"):
+            DickeDensity(**fields)
 
 
 def test_from_matrix_names_the_violated_rule():

@@ -1,4 +1,4 @@
-"""Guide-mediated coupling matrices for qubit arrays."""
+"""Guide-mediated coupling matrices of the two qubits."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from waveqed.core import SystemParams
-from waveqed.coupling import QubitArray, coupling_matrices
+from waveqed.coupling import coupling_matrices
 
 GAMMA = 0.05
 
@@ -14,7 +14,7 @@ GAMMA = 0.05
 def test_two_qubit_matrices_match_phase_factors():
     d = 1.3
     params = SystemParams(gamma_ratio=GAMMA, k0d=d)
-    m = coupling_matrices(QubitArray(positions=(0.0, d)), params)
+    m = coupling_matrices(params)
     g = params.gamma
     assert m.gamma_nm.shape == (2, 2)
     assert m.gamma_nm[0, 0] == g
@@ -29,40 +29,13 @@ def test_two_qubit_matrices_match_phase_factors():
 @pytest.mark.parametrize("n, want_c", [(1, -1.0), (2, 1.0), (3, -1.0)])
 def test_multiples_of_pi_land_exactly(n, want_c):
     params = SystemParams(gamma_ratio=GAMMA, k0d=n * math.pi)
-    m = coupling_matrices(QubitArray(positions=(0.0, n * math.pi)), params)
+    m = coupling_matrices(params)
     assert m.gamma_nm[0, 1] == want_c * params.gamma
     assert m.alpha_nm[0, 1] == 0.0
 
 
-def test_three_qubit_chain_uses_pairwise_distances():
-    params = SystemParams(gamma_ratio=GAMMA, k0d=0.7)
-    m = coupling_matrices(QubitArray(positions=(0.0, 0.7, 2.1)), params)
-    g = params.gamma
-    assert m.gamma_nm[0, 2] == pytest.approx(g * math.cos(2.1), rel=1e-15)
-    assert m.gamma_nm[1, 2] == pytest.approx(g * math.cos(1.4), rel=1e-15)
-    assert m.alpha_nm[1, 2] == pytest.approx(-0.5 * g * math.sin(1.4), rel=1e-15)
-
-
-def test_distance_sign_does_not_matter():
-    params = SystemParams(gamma_ratio=GAMMA, k0d=0.9)
-    fwd = coupling_matrices(QubitArray(positions=(0.0, 0.9)), params)
-    rev = coupling_matrices(QubitArray(positions=(0.9, 0.0)), params)
-    assert np.array_equal(fwd.gamma_nm, rev.gamma_nm)
-    assert np.array_equal(fwd.alpha_nm, rev.alpha_nm)
-
-
 def test_outputs_are_write_protected():
     params = SystemParams(gamma_ratio=GAMMA, k0d=1.0)
-    m = coupling_matrices(QubitArray(positions=(0.0, 1.0)), params)
+    m = coupling_matrices(params)
     with pytest.raises(ValueError):
         m.gamma_nm[0, 0] = 0.0
-
-
-def test_qubit_array_validation():
-    with pytest.raises(ValueError):
-        QubitArray(positions=())
-    with pytest.raises(ValueError):
-        QubitArray(positions=(0.0, float("inf")))
-    arr = QubitArray(positions=[0, 1.5])  # any sequence coerces to floats
-    assert arr.positions == (0.0, 1.5)
-    assert arr.count == 2

@@ -19,17 +19,17 @@ import waveqed.oracle
 SRC = Path(waveqed.__file__).resolve().parents[1]
 
 ORACLE_NAMES = (
-    "OdeConfig", "OracleError", "QuadratureConfig", "correlation_function",
-    "integrate_transition_odes", "quadrature_rates", "quadrature_spectrum",
+    "OdeConfig", "OracleError", "QuadratureConfig", "integrate_transition_odes",
+    "quadrature_rates", "quadrature_spectrum",
 )
 
 ALL = [
     "__version__", "BASIS", "BASIS_INDEX", "OMEGA", "PRESET_NAMES", "TOTAL",
     "CollectiveRates", "DickeDensity", "DickeState", "Direction", "SystemParams",
     "collective_rates", "phase_factors", "preset_state", "CouplingMatrices",
-    "QubitArray", "coupling_matrices", "emission_rate", "radiated_energy",
-    "transition_probability", *ORACLE_NAMES, "Detunings", "PeakAnalysis",
-    "SpectrumSample", "detunings", "line_tail_area", "peak_analysis",
+    "coupling_matrices", "emission_rate", "radiated_energy",
+    "transition_probability", *ORACLE_NAMES, "PeakAnalysis",
+    "SpectrumSample", "line_tail_area", "peak_analysis",
     "photon_number", "single_qubit_baseline", "spectral_density",
     "TransitionOperatorState",
     "closed_form_state", "population_elements",

@@ -17,7 +17,6 @@ from waveqed._stable import (
     INF,
     dexp,
     jint,
-    jint_dw,
     jint_dz,
     phi,
     phi_dd,
@@ -40,19 +39,29 @@ def _close(got, want, rel=1e-12, absolute=1e-300):
 
 
 def _mp_jint(z, w, t):
-    """Triangle double integral by nested mpmath quadrature."""
+    """Triangle double integral: one mpmath quadrature over tau of the
+    elementary inner integral e^{-z tau} (e^{(z-w) tau} - 1)/(z - w)."""
     z, w = _mpc(z), _mpc(w)
-    inner = lambda tau: mp.quad(
-        lambda tp: mp.e ** (-z * (tau - tp) - w * tp), [0, tau]
-    )
+    u = z - w
+    if u == 0:
+        inner = lambda tau: tau * mp.e ** (-z * tau)
+    else:
+        inner = lambda tau: mp.e ** (-z * tau) * mp.expm1(u * tau) / u
     return complex(mp.quad(inner, [0, t]))
 
 
-def _mp_mint(z, w, t, k):
+def _mp_mint(z, w, t):
+    """The tau'-weighted triangle integral, one quadrature like _mp_jint:
+    the inner int_0^tau tau' e^{u tau'} dtau' with u = z - w is
+    tau e^{u tau}/u - (e^{u tau} - 1)/u^2, or tau^2/2 at u = 0."""
     z, w = _mpc(z), _mpc(w)
-    inner = lambda tau: mp.quad(
-        lambda tp: tp**k * mp.e ** (-z * (tau - tp) - w * tp), [0, tau]
-    )
+    u = z - w
+    if u == 0:
+        inner = lambda tau: tau**2 / 2 * mp.e ** (-z * tau)
+    else:
+        inner = lambda tau: mp.e ** (-z * tau) * (
+            tau * mp.e ** (u * tau) / u - mp.expm1(u * tau) / u**2
+        )
     return complex(mp.quad(inner, [0, t]))
 
 
@@ -139,7 +148,7 @@ def test_dexp_long_times(x, y, t):
     [
         (0.3, 2.0),
         (0.05 + 1.0j, 11.0),
-        (4.0, 20.0),  # |xt| = 80: large-argument branch
+        (4.0, 20.0),  # |xt| = 80, e^{-xt} below 1e-34
         (-0.2, 3.0),
     ],
 )
@@ -167,7 +176,7 @@ _PHI_DERIVATIVE = {0: phi, 1: lambda x, t: phi_dd(x, x, t)}
         (0.1, 5.0),
         (0.1 + 0.9j, 5.0),
         (0.0, 3.0),
-        (2.5 + 0.5j, 30.0),  # |xt| > 30: large-argument branches
+        (2.5 + 0.5j, 30.0),  # |xt| > 30: far past phi_dd's Taylor branch
     ],
 )
 def test_phi_k_matches_integral(x, t, k):
@@ -277,36 +286,41 @@ def test_jint_with_a_vanishing_outer_decay(z):
 @pytest.mark.parametrize("k", [1])
 def test_mint_matches_double_integral(k):
     # the tau'^k-weighted double integral is (-1)^k d^k jint/dw^k; for
-    # k = 1 that is minus jint_dw at coincident inner decays
+    # k = 1 that is minus the w-difference jint_dz(z, w, w) at
+    # coincident inner decays
     z, w, t = 0.06 + 0.04j, 0.09, 6.0
-    _close(-jint_dw(z, w, w, t), _mp_mint(z, w, t, k), rel=1e-10)
+    _close(-jint_dz(z, w, w, t), _mp_mint(z, w, t), rel=1e-10)
     want_inf = math.factorial(k) / (z * w ** (k + 1))
-    _close(-jint_dw(z, w, w, INF), want_inf, rel=1e-14)
+    _close(-jint_dz(z, w, w, INF), want_inf, rel=1e-14)
+
+
+# the divided difference of jint in w, f[z, w1, w2, 0], is jint_dz with
+# the nodes reordered so that it divides by z - w1, never by w1 - w2
 
 
 def test_jint_dw_separated_equals_quotient():
     z, w1, w2, t = 0.05 + 0.01j, 0.4, 0.1, 30.0
     want = (jint(z, w1, t) - jint(z, w2, t)) / (w1 - w2)
-    _close(jint_dw(z, w1, w2, t), want, rel=1e-13)
+    _close(jint_dz(z, w1, w2, t), want, rel=1e-13)
 
 
 def test_jint_dw_exact_coincidence():
     # at w1 == w2 the divided difference is -d(jint)/dw, a weighted
     # double integral checked directly
     z, w, t = 0.05 + 0.02j, 0.1, 12.0
-    _close(jint_dw(z, w, w, t), -_mp_mint(z, w, t, 1), rel=1e-10)
-    assert jint_dw(0.1, 0.2, 0.3, INF) == pytest.approx(
+    _close(jint_dz(z, w, w, t), -_mp_mint(z, w, t), rel=1e-10)
+    assert jint_dz(0.1, 0.2, 0.3, INF) == pytest.approx(
         -1.0 / (0.1 * 0.2 * 0.3), rel=1e-15
     )
 
 
 @pytest.mark.parametrize("dv", [1e-14, 1e-9, 1e-3])
 def test_jint_dw_near_coincidence(dv):
-    # the regime the series branch exists for: separations far below the
-    # rounding floor of the direct quotient
+    # separations far below the rounding floor of the direct quotient
+    # in w, which jint_dz never forms
     z, w, t = 0.05 + 0.02j, 0.1, 12.0
     w1 = w + dv  # rounded like the library sees it; divide by the same
-    got = jint_dw(z, w1, w, t)
+    got = jint_dz(z, w1, w, t)
     with mp.workdps(60):
         j1 = _mp_jint_closed(z, w1, t)
         j2 = _mp_jint_closed(z, w, t)
