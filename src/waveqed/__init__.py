@@ -34,7 +34,6 @@ from .core import (
     phase_factors,
     preset_state,
 )
-from .coupling import CouplingMatrices, coupling_matrices
 from .observables import (
     emission_rate,
     radiated_energy,
@@ -70,8 +69,6 @@ __all__ = [
     "collective_rates",
     "phase_factors",
     "preset_state",
-    "CouplingMatrices",
-    "coupling_matrices",
     "emission_rate",
     "radiated_energy",
     "transition_probability",

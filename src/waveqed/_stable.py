@@ -16,12 +16,12 @@ which happens systematically at the bright/dark points of the waveguide
 except phi_dd's Taylor branch (about 20 terms, only while all three
 nodes lie within 1/t).
 
-t = math.inf is accepted wherever the integral converges (real parts of
-the relevant exponents > 0) and returns the exact limit.  sinch and dexp
-(for any finite t >= 0) broadcast over numpy arrays, and so do the
-t = inf limits of jint and jint_dz (rational in their arguments); the
-finite-t phi, phi_dd and with them jint and jint_dz branch on the size
-of their arguments and take complex scalars.
+jint and jint_dz accept t = math.inf wherever the integral converges
+(real parts of the relevant exponents > 0) and return the exact limit;
+phi and phi_dd take finite t only.  sinch and dexp (for any finite
+t >= 0) broadcast over numpy arrays, and so do the t = inf limits of
+jint and jint_dz (rational in their arguments); the finite-t kernels
+branch on the size of their arguments and take complex scalars.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ def dexp(x: complex, y: complex, t):
 
 
 def phi(x: complex, t: float) -> complex:
-    """int_0^t e^{-x tau} dtau = (1 - e^{-xt})/x, with the x = 0 limit t."""
-    if t == INF:
-        return 1.0 / x
+    """int_0^t e^{-x tau} dtau = (1 - e^{-xt})/x for finite t, with the x = 0 limit t."""
     if x == 0:
         return complex(t)
     return -np.expm1(-x * t) / x

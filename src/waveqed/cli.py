@@ -106,6 +106,12 @@ class RunConfig:
         hi = 1.0 + 10.0 * self.gamma_ratio if self.omega_max is None else self.omega_max
         return lo, hi
 
+    def omega_grid(self) -> np.ndarray:
+        return np.linspace(*self.omega_span(), self.omega_points)
+
+    def gt_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.t_points)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -161,34 +167,31 @@ def _resolve_initial(name: str) -> tuple:
     )
 
 
-def _direction_label(direction) -> str:
-    return TOTAL.label if direction is TOTAL else direction.value
-
-
 # ---------------------------------------------------------------------------
 # row builders
 # ---------------------------------------------------------------------------
 
+def _rows(cfg: RunConfig, grid, values, label: str, k0d: str) -> list:
+    """One curve: grid value, value, direction, initial label, k0d."""
+    direction = _DIRECTIONS[cfg.direction]
+    tag = (TOTAL.label if direction is TOTAL else direction.value, label, k0d)
+    return [(_fmt(x), _fmt(v), *tag) for x, v in zip(grid, values)]
+
+
 def _spectrum_rows(cfg: RunConfig, k0d: float, initial: tuple) -> list:
     rho0, label = initial
     params = SystemParams(gamma_ratio=cfg.gamma_ratio, k0d=k0d)
-    direction = _DIRECTIONS[cfg.direction]
-    lo, hi = cfg.omega_span()
-    omegas = np.linspace(lo, hi, cfg.omega_points)
-    values = spectral_density(rho0, params, direction, omegas)
-    tag = (_direction_label(direction), label, _fmt(k0d))
-    return [(_fmt(w), _fmt(v), *tag) for w, v in zip(omegas, values)]
+    omegas = cfg.omega_grid()
+    values = spectral_density(rho0, params, _DIRECTIONS[cfg.direction], omegas)
+    return _rows(cfg, omegas, values, label, _fmt(k0d))
 
 
 def _rate_rows(cfg: RunConfig, k0d: float, initial: tuple) -> list:
     rho0, label = initial
     params = SystemParams(gamma_ratio=cfg.gamma_ratio, k0d=k0d)
-    direction = _DIRECTIONS[cfg.direction]
-    gamma = params.gamma
-    gts = np.linspace(0.0, cfg.t_max, cfg.t_points)
-    rates = emission_rate(rho0, params, gts / gamma, direction) / gamma
-    tag = (_direction_label(direction), label, _fmt(k0d))
-    return [(_fmt(gt), _fmt(w), *tag) for gt, w in zip(gts, rates)]
+    gts = cfg.gt_grid()
+    rates = emission_rate(rho0, params, gts / params.gamma, _DIRECTIONS[cfg.direction])
+    return _rows(cfg, gts, rates / params.gamma, label, _fmt(k0d))
 
 
 def _prob_rows(cfg: RunConfig) -> list:
@@ -202,7 +205,7 @@ def _prob_rows(cfg: RunConfig) -> list:
             f"transition states must be one of G, E, S, A, got {exc.args[0]!r}"
         ) from None
     params = SystemParams(gamma_ratio=cfg.gamma_ratio, k0d=cfg.k0d)
-    gts = np.linspace(0.0, cfg.t_max, cfg.t_points)
+    gts = cfg.gt_grid()
     curves = [
         (f"{source.value}->{target.value}",
          transition_probability(source, target, params, gts / params.gamma))
@@ -215,12 +218,19 @@ def _prob_rows(cfg: RunConfig) -> list:
     ]
 
 
-def _sweep_rows(cfg: RunConfig) -> tuple:
-    k0ds = np.linspace(cfg.k0d_start, cfg.k0d_stop, cfg.k0d_count)
-    builder = _rate_rows if cfg.quantity == "rate" else _spectrum_rows
-    header = RATE_HEADER if cfg.quantity == "rate" else SPECTRUM_HEADER
+_CURVES = {
+    "spectrum": (SPECTRUM_HEADER, _spectrum_rows),
+    "rate": (RATE_HEADER, _rate_rows),
+}
+
+
+def _curve_rows(cfg: RunConfig) -> tuple:
+    """(header, rows) of spectrum, rate and sweep: one row block per k0d."""
+    sweep = cfg.subcommand == "sweep"
+    header, builder = _CURVES[cfg.quantity if sweep else cfg.subcommand]
+    k0ds = np.linspace(cfg.k0d_start, cfg.k0d_stop, cfg.k0d_count).tolist() if sweep else [cfg.k0d]
     initial = _resolve_initial(cfg.initial)
-    return header, [row for k0d in k0ds for row in builder(cfg, float(k0d), initial)]
+    return header, [row for k0d in k0ds for row in builder(cfg, k0d, initial)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,52 +241,39 @@ _PI = math.pi
 #: the nine standard datasets: preset, k0d list, direction, and whether
 #: a single-qubit comparison curve is drawn alongside
 _FIGURE_SPECS = (
-    ("fig1", "S", (0.5 * _PI, _PI, 2 * _PI), Direction.FORWARD, True),
-    ("fig2", "A", (0.25 * _PI, 0.5 * _PI, _PI, 2 * _PI), Direction.FORWARD, True),
-    ("fig3", "S", (1.1 * _PI, 1.2 * _PI), Direction.FORWARD, True),
-    ("fig4", "eg", (0.25 * _PI, 0.5 * _PI, 2 * _PI), Direction.FORWARD, True),
-    ("fig5", "eg", (0.25 * _PI, 0.5 * _PI, 2 * _PI), Direction.BACKWARD, True),
-    ("fig6", "E", (0.25 * _PI, 0.5 * _PI, 2 * _PI), Direction.FORWARD, False),
-    ("fig7", "s1e2", (0.25 * _PI, 0.5 * _PI, 2 * _PI), Direction.FORWARD, False),
-    ("fig8", "s1e2", (0.25 * _PI, 0.5 * _PI, 2 * _PI), Direction.BACKWARD, False),
-    ("fig9", "s1s2", (0.5 * _PI, _PI, 2 * _PI), Direction.FORWARD, True),
+    ("fig1", "S", (0.5 * _PI, _PI, 2 * _PI), "forward", True),
+    ("fig2", "A", (0.25 * _PI, 0.5 * _PI, _PI, 2 * _PI), "forward", True),
+    ("fig3", "S", (1.1 * _PI, 1.2 * _PI), "forward", True),
+    ("fig4", "eg", (0.25 * _PI, 0.5 * _PI, 2 * _PI), "forward", True),
+    ("fig5", "eg", (0.25 * _PI, 0.5 * _PI, 2 * _PI), "backward", True),
+    ("fig6", "E", (0.25 * _PI, 0.5 * _PI, 2 * _PI), "forward", False),
+    ("fig7", "s1e2", (0.25 * _PI, 0.5 * _PI, 2 * _PI), "forward", False),
+    ("fig8", "s1e2", (0.25 * _PI, 0.5 * _PI, 2 * _PI), "backward", False),
+    ("fig9", "s1s2", (0.5 * _PI, _PI, 2 * _PI), "forward", True),
 )
 
 
 def figure_datasets(gamma_ratio: float = 0.05) -> dict:
     """All figure data as {file stem: (header, rows)}.
 
-    Panel a of each figure is the spectral density on the standard
-    1601-point window (10 linewidths around resonance), panel b the
-    normalized rate W/Gamma on Gamma*t in [0, 5] with 501 points; one
-    row block per k0d in the order listed, single-qubit comparison
-    block last where the figure draws one (its k0d column is 0).
+    Panel a of each figure is the spectral density and panel b the
+    normalized rate W/Gamma, built like the spectrum and rate commands
+    with their default grids; one row block per k0d in the order listed,
+    single-qubit comparison block last where the figure draws one (its
+    k0d column is 0).
     """
-    gamma = gamma_ratio
-    omega_grid = np.linspace(1.0 - 10.0 * gamma, 1.0 + 10.0 * gamma, 1601)
-    gt_grid = np.linspace(0.0, 5.0, 501)
     out = {}
-    for name, initial, k0ds, direction, baseline in _FIGURE_SPECS:
-        rho0 = preset_state(initial)
-        label = _direction_label(direction)
-        arows = []
-        brows = []
-        for k0d in k0ds:
-            params = SystemParams(gamma_ratio=gamma, k0d=k0d)
-            values = spectral_density(rho0, params, direction, omega_grid)
-            arows += [(_fmt(w), _fmt(v), label, initial, _fmt(k0d))
-                      for w, v in zip(omega_grid, values)]
-            rates = emission_rate(rho0, params, gt_grid / params.gamma, direction)
-            brows += [(_fmt(gt), _fmt(w), label, initial, _fmt(k0d))
-                      for gt, w in zip(gt_grid, rates / params.gamma)]
+    for name, preset, k0ds, direction, baseline in _FIGURE_SPECS:
+        cfg = RunConfig("figures", gamma_ratio=gamma_ratio, direction=direction)
+        initial = preset_state(preset), preset
+        arows = [row for k0d in k0ds for row in _spectrum_rows(cfg, k0d, initial)]
+        brows = [row for k0d in k0ds for row in _rate_rows(cfg, k0d, initial)]
         if baseline:
-            ref = SystemParams(gamma_ratio=gamma, k0d=0.0)
-            values, rate_fn = single_qubit_baseline(ref, omega_grid)
-            arows += [(_fmt(w), _fmt(v), label, "single_qubit", "0")
-                      for w, v in zip(omega_grid, values)]
-            rates = rate_fn(gt_grid / ref.gamma) / ref.gamma
-            brows += [(_fmt(gt), _fmt(w), label, "single_qubit", "0")
-                      for gt, w in zip(gt_grid, rates)]
+            ref = SystemParams(gamma_ratio=gamma_ratio, k0d=0.0)
+            omegas, gts = cfg.omega_grid(), cfg.gt_grid()
+            values, rate_fn = single_qubit_baseline(ref, omegas)
+            arows += _rows(cfg, omegas, values, "single_qubit", "0")
+            brows += _rows(cfg, gts, rate_fn(gts / ref.gamma) / ref.gamma, "single_qubit", "0")
         out[f"{name}a"] = (SPECTRUM_HEADER, arows)
         out[f"{name}b"] = (RATE_HEADER, brows)
     return out
@@ -380,6 +377,10 @@ def _run_validate(cfg: RunConfig) -> int:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+def _csv(header: str, rows: list) -> str:
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
 def _emit(cfg: RunConfig, header: str, rows: list) -> None:
     if cfg.fmt == "json":
         payload = {
@@ -393,7 +394,7 @@ def _emit(cfg: RunConfig, header: str, rows: list) -> None:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+        text = _csv(header, rows)
     if cfg.output is None:
         sys.stdout.write(text)
     else:
@@ -404,28 +405,18 @@ def _run_figures(cfg: RunConfig) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for stem, (header, rows) in figure_datasets(cfg.gamma_ratio).items():
-        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-        (outdir / f"{stem}.csv").write_text(text)
+        (outdir / f"{stem}.csv").write_text(_csv(header, rows))
     print(f"wrote 18 files to {outdir}")
     return 0
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one validated configuration; returns the exit code."""
-    if cfg.subcommand == "spectrum":
-        initial = _resolve_initial(cfg.initial)
-        _emit(cfg, SPECTRUM_HEADER, _spectrum_rows(cfg, cfg.k0d, initial))
-        return 0
-    if cfg.subcommand == "rate":
-        initial = _resolve_initial(cfg.initial)
-        _emit(cfg, RATE_HEADER, _rate_rows(cfg, cfg.k0d, initial))
+    if cfg.subcommand in ("spectrum", "rate", "sweep"):
+        _emit(cfg, *_curve_rows(cfg))
         return 0
     if cfg.subcommand == "prob":
         _emit(cfg, PROB_HEADER, _prob_rows(cfg))
-        return 0
-    if cfg.subcommand == "sweep":
-        header, rows = _sweep_rows(cfg)
-        _emit(cfg, header, rows)
         return 0
     if cfg.subcommand == "figures":
         return _run_figures(cfg)

@@ -98,11 +98,9 @@ def radiated_energy(
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
     r = collective_rates(params)
-    c, s = phase_factors(params.k0d)
-    a = 1.0 + c
-    b = 1.0 - c
-    # per direction: 1/2 direct + a/4 via S + b/4 via A = 1 for any k0d
-    energy = rho0.pEE * (0.5 + 0.25 * a + 0.25 * b)
+    _c, s = phase_factors(params.k0d)
+    # per direction: 1/2 direct + (1 + cos k0d)/4 via S + (1 - cos k0d)/4 via A = 1
+    energy = rho0.pEE
     if r.gamma_plus > 0.0:
         energy += 0.5 * rho0.pSS
     if r.gamma_minus > 0.0:

@@ -2,12 +2,16 @@
 
 Everything here starts from one object, the adjoint (Heisenberg-picture)
 Lindblad generator of the standard waveguide master equation
-(Lalumiere et al., PRA 88, 043806, 2013), built from the coupling
-matrices gamma_nm, alpha_nm of coupling.py and the bare lowering
-operators of the two qubits:
+(Lalumiere et al., PRA 88, 043806, 2013) for the bare lowering
+operators s_n of the qubits at x = (0, k0d).  Guided photons couple
+them through gamma_nm = Gamma cos(k0 d_nm) and, off the diagonal only,
+alpha_nm = -(Gamma/2) sin(k0 d_nm), which enters H with a minus sign:
 
     dX/dt = i[H, X] + sum_nm gamma_nm (s_n^+ X s_m - {s_n^+ s_m, X}/2),
     H = Omega sum_n s_n^+ s_n - sum_{n != m} alpha_nm s_n^+ s_m.
+
+These rotating-wave Markovian forms hold once the qubits are more than
+about a quarter wavelength apart; no retardation correction is applied.
 
 With row-major vec, vec(A X B) = kron(A, B.T) @ vec(X), this is a 16x16
 complex matrix L, and the propagator Phi(t) = exp(L t) carries every
@@ -57,7 +61,6 @@ from .core import (
     collective_rates,
     phase_factors,
 )
-from .coupling import coupling_matrices
 from .transition_operator import TransitionOperatorState
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -142,10 +145,12 @@ def _adjoint_generator(params: SystemParams) -> np.ndarray:
     """16x16 matrix L with d vec(X)/dt = L @ vec(X) for Heisenberg operators X.
 
     Row-major vec throughout, so vec(A X B) = kron(A, B.T) @ vec(X).
-    The coherent exchange alpha_nm enters H with a minus sign.  Each entry
-    (l0_i - l0_j) L_ij of [L0, L] must be exactly 0.0.  Read-only.
+    Each entry (l0_i - l0_j) L_ij of [L0, L] must be exactly 0.0.  Read-only.
     """
-    cm = coupling_matrices(params)
+    g = params.gamma
+    c, s = phase_factors(params.k0d)
+    gamma_nm = ((g, g * c), (g * c, g))
+    alpha = -0.5 * g * s
     lowering = (_SM1, _SM2)
     eye = np.eye(4)
     ham = _H0
@@ -155,8 +160,8 @@ def _adjoint_generator(params: SystemParams) -> np.ndarray:
             a, b = sn.conj().T, sm
             ab = a @ b
             if n != m:
-                ham = ham - cm.alpha_nm[n, m] * ab
-            gen += cm.gamma_nm[n, m] * (
+                ham = ham - alpha * ab
+            gen += gamma_nm[n][m] * (
                 np.kron(a, b.T) - 0.5 * np.kron(ab, eye) - 0.5 * np.kron(eye, ab.T)
             )
     gen += 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))

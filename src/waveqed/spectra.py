@@ -154,20 +154,21 @@ def line_tail_area(
     half_width systematically misses the wings.  This returns the exact
     missing area so window integrals can be corrected instead of
     silently failing area checks.  A channel with zero rate has no line
-    and no tail.
+    and no tail.  half_width must be >= 0; +inf gives 0.
     """
     if state not in (DickeState.S, DickeState.A):
         raise ValueError(f"only the S and A lines are single Lorentzians, got {state}")
+    if not half_width >= 0.0:
+        raise ValueError(f"half_width must be >= 0, got {half_width}")
     r = collective_rates(params)
     g_line = r.gamma_plus if state is DickeState.S else r.gamma_minus
     if g_line == 0.0:
         return 0.0
     _c, s = phase_factors(params.k0d)
-    shift = 0.5 * params.gamma * s  # line center minus Omega
-    if state is DickeState.A:
-        shift = -shift
+    # line center minus Omega for S, its negative for A: the area is even in it
+    shift = 0.5 * params.gamma * s
     q = 0.5 * g_line
-    return (g_line / q) * (
+    return 2.0 * (
         math.pi
         - math.atan((half_width - shift) / q)
         - math.atan((half_width + shift) / q)
@@ -186,8 +187,10 @@ def peak_analysis(samples) -> PeakAnalysis:
     """Locate spectral peaks by three-point maxima with parabolic refinement.
 
     samples: ordered sequence of SpectrumSample with strictly increasing
-    omega; at least three are required.  Fewer than two peaks leaves the
-    separation undefined (None), which is not an error.
+    omega; at least three are required.  Each refined vertex lies between
+    the midpoints on either side of its grid maximum, so the peaks come
+    out in increasing omega.  Fewer than two peaks leaves the separation
+    undefined (None), which is not an error.
     """
     samples = list(samples)
     if len(samples) < 3:
@@ -196,11 +199,8 @@ def peak_analysis(samples) -> PeakAnalysis:
     v = np.array([s.value for s in samples])
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("samples must have strictly increasing omega")
-    peaks = []
-    for i in range(1, len(samples) - 1):
-        if v[i] > v[i - 1] and v[i] > v[i + 1]:
-            peaks.append(_refine_parabolic(x, v, i))
-    peaks.sort(key=lambda p: p[0])
+    maxima = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = [_refine_parabolic(x, v, i) for i in maxima]
     separation = None
     if len(peaks) >= 2:
         top = sorted(peaks, key=lambda p: p[1], reverse=True)[:2]

@@ -169,6 +169,12 @@ def test_peak_analysis_mechanics():
     bad = [samples[0], samples[2], samples[1]]
     with pytest.raises(ValueError):
         peak_analysis(bad)
+    # a curvature that underflows to -0.0 keeps the grid point
+    flat = [
+        SpectrumSample(omega=a, value=b, direction=F, initial=None)
+        for a, b in ((0.0, 0.0), (4.0, 5e-324), (8.0, 0.0))
+    ]
+    assert peak_analysis(flat).peaks == ((4.0, 5e-324),)
 
 
 @pytest.mark.parametrize(
@@ -189,6 +195,11 @@ def test_tail_correction_edge_cases():
     assert line_tail_area(_params(2 * math.pi), 2.5, DickeState.A) == 0.0
     with pytest.raises(ValueError):
         line_tail_area(_params(1.0), 2.5, DickeState.E)
+    # a NaN or negative window is refused, an infinite one misses nothing
+    for bad in (math.nan, -0.5):
+        with pytest.raises(ValueError, match="half_width"):
+            line_tail_area(_params(0.5 * math.pi), bad, DickeState.S)
+    assert line_tail_area(_params(0.5 * math.pi), math.inf, DickeState.A) == 0.0
     # the correction is exactly what the window integral misses
     params = _params(0.5 * math.pi)
     half_width = 20.0 * GAMMA

@@ -73,8 +73,8 @@ def _mp_sinch(x):
 @pytest.mark.parametrize(
     "x",
     [
-        0.0, 5e-324, 1e-310 + 1e-310j, 1e-30, 1e-3, 0.0999, 0.0999j, 0.1001,
-        1.0, -2.5, 0.03 + 0.04j, -0.08j, 3.0 + 4.0j,
+        0.0, 5e-324, 1e-310 + 1e-310j, 1e-30, 3e-7, 3e-7j, 1e-3, 0.0999, 0.0999j,
+        0.1001, 1.0, -2.5, 0.03 + 0.04j, -0.08j, 3.0 + 4.0j,
     ],
 )
 def test_sinch_matches_mpmath(x):
@@ -159,9 +159,6 @@ def test_phi_matches_integral(x, t):
 
 def test_phi_limits():
     assert phi(0.0, 7.5) == 7.5
-    assert phi(0.25, INF) == pytest.approx(4.0, rel=1e-15)
-    z = 0.1 + 0.3j
-    assert phi(z, INF) == pytest.approx(1.0 / z, rel=1e-15)
 
 
 #: the k-th x-derivative of phi, (-1)^k int_0^t u^k e^{-xu} du, for the
