@@ -48,6 +48,7 @@ _DIRECTIONS = {
     "backward": Direction.BACKWARD,
     "total": TOTAL,
 }
+_STATES = tuple(state.value for state in DickeState)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _rows(cfg: RunConfig, grid, values, label: str, k0d: str) -> list:
     """One curve: grid value, value, direction, initial label, k0d."""
     direction = _DIRECTIONS[cfg.direction]
     tag = (TOTAL.label if direction is TOTAL else direction.value, label, k0d)
-    return [(_fmt(x), _fmt(v), *tag) for x, v in zip(grid, values)]
+    return [(_fmt(x), _fmt(v), *tag) for x, v in zip(grid.tolist(), values.tolist())]
 
 
 def _spectrum_rows(cfg: RunConfig, k0d: float, initial: tuple) -> list:
@@ -202,7 +203,7 @@ def _prob_rows(cfg: RunConfig) -> list:
         )
     except KeyError as exc:
         raise ValueError(
-            f"transition states must be one of G, E, S, A, got {exc.args[0]!r}"
+            f"transition states must be one of {', '.join(_STATES)}, got {exc.args[0]!r}"
         ) from None
     params = SystemParams(gamma_ratio=cfg.gamma_ratio, k0d=cfg.k0d)
     gts = cfg.gt_grid()
@@ -253,7 +254,7 @@ _FIGURE_SPECS = (
 )
 
 
-def figure_datasets(gamma_ratio: float = 0.05) -> dict:
+def figure_datasets(gamma_ratio: float = RunConfig.gamma_ratio) -> dict:
     """All figure data as {file stem: (header, rows)}.
 
     Panel a of each figure is the spectral density and panel b the
@@ -283,89 +284,75 @@ def figure_datasets(gamma_ratio: float = 0.05) -> dict:
 # validation suite
 # ---------------------------------------------------------------------------
 
-def _validate_odes(gamma_ratio: float) -> list:
-    """Closed-form elements against the integrated equations of motion."""
-    from .oracle import OdeConfig, integrate_transition_odes
+# Each check yields (label, closed form, oracle, scale, threshold); one loop
+# reports max|closed - oracle| / scale.  The oracle module is looked up at
+# call time, so it is imported only by validate.
 
-    checks = []
-    config = OdeConfig(method="DOP853", rel_tol=1e-11, abs_tol=1e-13, t_max=5.0)
+def _ode_checks(gamma_ratio: float):
+    """Closed-form elements against the integrated equations of motion."""
+    from . import oracle
+
+    config = oracle.OdeConfig(method="DOP853", rel_tol=1e-11, abs_tol=1e-13, t_max=5.0)
     for k0d in (0.5 * _PI, 2 * _PI):
         params = SystemParams(gamma_ratio=gamma_ratio, k0d=k0d)
-        t_grid = np.linspace(0.0, 5.0 / params.gamma, 11)
-        traj = integrate_transition_odes(params, config, t_grid)
-        worst = max(
-            float(np.max(np.abs(closed_form_state(params, state.t).phi - state.phi)))
-            for state in traj
-        )
-        checks.append((f"elements closed vs ODE, k0d = {k0d:.4g}", worst, 1e-8))
-    return checks
+        traj = oracle.integrate_transition_odes(
+            params, config, np.linspace(0.0, 5.0 / params.gamma, 11))
+        closed = [closed_form_state(params, state.t).phi for state in traj]
+        yield (f"elements closed vs ODE, k0d = {k0d:.4g}", np.array(closed),
+               np.array([state.phi for state in traj]), 1.0, 1e-8)
 
 
-def _validate_rates(gamma_ratio: float) -> list:
+def _rate_checks(gamma_ratio: float):
     """Analytic rates against the equal-time correlation diagonal."""
-    from .oracle import QuadratureConfig, quadrature_rates
+    from . import oracle
 
-    checks = []
     # the step of a 256-point grid to Gamma t = 10, out to Gamma t = 30
-    config = QuadratureConfig(T=30.0, n_steps=768)
-    cases = (("S", 2 * _PI), ("eg", 0.5 * _PI))
-    for initial, k0d in cases:
+    config = oracle.QuadratureConfig(T=30.0, n_steps=768)
+    for initial, k0d in (("S", 2 * _PI), ("eg", 0.5 * _PI)):
         rho0 = preset_state(initial)
         params = SystemParams(gamma_ratio=gamma_ratio, k0d=k0d)
-        t_grid, w_oracle = quadrature_rates(rho0, params, Direction.FORWARD, config)
-        w = emission_rate(rho0, params, t_grid, Direction.FORWARD)
-        worst = float(np.max(np.abs(w - w_oracle))) / params.gamma
-        checks.append((f"rate W_{initial} closed vs oracle, k0d = {k0d:.4g}", worst, 1e-8))
-    return checks
+        t_grid, w = oracle.quadrature_rates(rho0, params, Direction.FORWARD, config)
+        yield (f"rate W_{initial} closed vs oracle, k0d = {k0d:.4g}",
+               emission_rate(rho0, params, t_grid, Direction.FORWARD), w, params.gamma, 1e-8)
 
 
-def _validate_spectra(gamma_ratio: float) -> list:
+def _spectrum_checks(gamma_ratio: float):
     """Analytic spectral density against the block-exponential oracle."""
-    from .oracle import QuadratureConfig, quadrature_spectrum
+    from . import oracle
 
-    checks = []
-    config = QuadratureConfig(T=20.0, n_steps=1024)
+    config = oracle.QuadratureConfig(T=20.0, n_steps=1024)
     cases = (
-        ("S", 2 * _PI, (1.0,)),
-        ("eg", 0.5 * _PI, (1.0 - gamma_ratio, 1.0, 1.0 + gamma_ratio)),
-        ("E", 0.5 * _PI, (1.0,)),
+        ("S", 2 * _PI, [1.0]),
+        ("eg", 0.5 * _PI, [1.0 - gamma_ratio, 1.0, 1.0 + gamma_ratio]),
+        ("E", 0.5 * _PI, [1.0]),
     )
     for initial, k0d, omegas in cases:
         rho0 = preset_state(initial)
         params = SystemParams(gamma_ratio=gamma_ratio, k0d=k0d)
         omegas = np.array(omegas)
         closed = spectral_density(rho0, params, Direction.FORWARD, omegas)
-        oracle = quadrature_spectrum(rho0, params, Direction.FORWARD, omegas, config)
-        scale = max(float(np.max(np.abs(closed))), 1e-9)
-        worst = float(np.max(np.abs(closed - oracle))) / scale
-        checks.append(
-            (f"spectrum S_{initial} closed vs quadrature, k0d = {k0d:.4g}", worst, 2e-3)
-        )
-    return checks
+        yield (f"spectrum S_{initial} closed vs quadrature, k0d = {k0d:.4g}", closed,
+               oracle.quadrature_spectrum(rho0, params, Direction.FORWARD, omegas, config),
+               max(float(np.max(np.abs(closed))), 1e-9), 2e-3)
+
+
+_CHECKS = {"odes": _ode_checks, "rates": _rate_checks, "spectra": _spectrum_checks}
+_SUITES = {"all": tuple(_CHECKS.values()), **{k: (v,) for k, v in _CHECKS.items()}}
 
 
 def _run_validate(cfg: RunConfig) -> int:
-    suites = {
-        "odes": (_validate_odes,),
-        "rates": (_validate_rates,),
-        "spectra": (_validate_spectra,),
-        "all": (_validate_odes, _validate_rates, _validate_spectra),
-    }
-    if cfg.suite not in suites:
-        raise ValueError(
-            f"unknown validation suite {cfg.suite!r}; pick from {sorted(suites)}"
-        )
+    if cfg.suite not in _SUITES:
+        raise ValueError(f"unknown validation suite {cfg.suite!r}; pick from {sorted(_SUITES)}")
     from .oracle import OracleError
 
-    checks = []
     try:
-        for runner in suites[cfg.suite]:
-            checks.extend(runner(cfg.gamma_ratio))
+        checks = [check for suite in _SUITES[cfg.suite] for check in suite(cfg.gamma_ratio)]
     except OracleError as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     failed = False
-    for name, worst, threshold in checks:
+    for name, closed, oracle, scale, threshold in checks:
+        worst = float(np.max(np.abs(closed - oracle))) / scale
         ok = worst <= threshold
         failed |= not ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: max deviation {worst:.3e} "
@@ -436,6 +423,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+_SUMMARIES = {
+    "spectrum": "long-time radiation spectral density",
+    "rate": "emission rate W/Gamma versus Gamma*t",
+    "prob": "transition probabilities versus Gamma*t",
+    "sweep": "repeat rate/spectrum over a k0d range",
+    "figures": "emit the nine standard figure datasets",
+    "validate": "run oracle cross-checks",
+}
+#: every option once: (flag, the subcommands that take it, add_argument
+#: keywords), in each subcommand's option order; defaults live in RunConfig
+_OPTIONS = (
+    ("--gamma-ratio", "spectrum rate prob sweep figures validate",
+     dict(type=float, help=f"Gamma/Omega (default {RunConfig.gamma_ratio:g})")),
+    ("--k0d", "spectrum rate prob",
+     dict(type=float, required=True, help="effective distance k0*d in radians")),
+    ("--output", "spectrum rate prob sweep", dict(help="output file (default: stdout)")),
+    ("--format", "spectrum rate prob sweep", dict(dest="fmt", choices=("csv", "json"))),
+    ("--initial", "spectrum rate sweep",
+     dict(required=True, help=f"preset ({', '.join(PRESET_NAMES)}) or density-matrix file")),
+    ("--from", "prob", dict(dest="from_state", required=True, choices=_STATES)),
+    ("--to", "prob",
+     dict(dest="to_state", choices=_STATES, help="target state (default: all four)")),
+    ("--quantity", "sweep", dict(choices=sorted(_CURVES))),
+    ("--direction", "spectrum rate sweep", dict(choices=sorted(_DIRECTIONS))),
+    ("--k0d-start", "sweep", dict(type=float, required=True)),
+    ("--k0d-stop", "sweep", dict(type=float, required=True)),
+    ("--k0d-count", "sweep", dict(type=int)),
+    ("--omega-min", "spectrum sweep", dict(type=float, help="grid start, units of Omega")),
+    ("--omega-max", "spectrum sweep", dict(type=float, help="grid end, units of Omega")),
+    ("--omega-points", "spectrum sweep", dict(type=int)),
+    ("--t-max", "rate prob sweep", dict(type=float, help="horizon in Gamma*t")),
+    ("--t-points", "rate prob sweep", dict(type=int)),
+    ("--output-dir", "figures", {}),
+    ("--suite", "validate", dict(choices=tuple(_SUITES))),
+)
+#: where a subcommand's default differs from RunConfig's
+_DEFAULTS = {
+    "rate": dict(direction="total"),
+    "sweep": dict(direction="total", omega_points=201, t_points=101),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="waveqed",
@@ -447,65 +476,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, k0d_required=True):
-        p.add_argument("--gamma-ratio", type=float, default=0.05,
-                       help="Gamma/Omega (default 0.05)")
-        if k0d_required:
-            p.add_argument("--k0d", type=float, required=True,
-                           help="effective distance k0*d in radians")
-        p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
-
-    p = sub.add_parser("spectrum", help="long-time radiation spectral density")
-    common(p)
-    p.add_argument("--initial", required=True,
-                   help=f"preset ({', '.join(PRESET_NAMES)}) or density-matrix file")
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="forward")
-    p.add_argument("--omega-min", type=float, help="grid start, units of Omega")
-    p.add_argument("--omega-max", type=float, help="grid end, units of Omega")
-    p.add_argument("--omega-points", type=int, default=1601)
-
-    p = sub.add_parser("rate", help="emission rate W/Gamma versus Gamma*t")
-    common(p)
-    p.add_argument("--initial", required=True,
-                   help=f"preset ({', '.join(PRESET_NAMES)}) or density-matrix file")
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="total")
-    p.add_argument("--t-max", type=float, default=5.0, help="horizon in Gamma*t")
-    p.add_argument("--t-points", type=int, default=501)
-
-    p = sub.add_parser("prob", help="transition probabilities versus Gamma*t")
-    common(p)
-    p.add_argument("--from", dest="from_state", required=True,
-                   choices=("G", "E", "S", "A"))
-    p.add_argument("--to", dest="to_state", choices=("G", "E", "S", "A"),
-                   help="target state (default: all four)")
-    p.add_argument("--t-max", type=float, default=5.0)
-    p.add_argument("--t-points", type=int, default=501)
-
-    p = sub.add_parser("sweep", help="repeat rate/spectrum over a k0d range")
-    common(p, k0d_required=False)
-    p.add_argument("--initial", required=True)
-    p.add_argument("--quantity", choices=("rate", "spectrum"), default="rate")
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="total")
-    p.add_argument("--k0d-start", type=float, required=True)
-    p.add_argument("--k0d-stop", type=float, required=True)
-    p.add_argument("--k0d-count", type=int, default=9)
-    p.add_argument("--omega-min", type=float)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--omega-points", type=int, default=201)
-    p.add_argument("--t-max", type=float, default=5.0)
-    p.add_argument("--t-points", type=int, default=101)
-
-    p = sub.add_parser("figures", help="emit the nine standard figure datasets")
-    p.add_argument("--gamma-ratio", type=float, default=0.05)
-    p.add_argument("--output-dir", default="figures_data")
-
-    p = sub.add_parser("validate", help="run oracle cross-checks")
-    p.add_argument("--gamma-ratio", type=float, default=0.05)
-    p.add_argument("--suite", choices=("all", "odes", "rates", "spectra"),
-                   default="all")
+    for name, summary in _SUMMARIES.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, takers, kwargs in _OPTIONS:
+            if name in takers.split():
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(**_DEFAULTS.get(name, {}))
     return parser
 
 

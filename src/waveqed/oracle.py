@@ -59,6 +59,7 @@ from .core import (
     Direction,
     SystemParams,
     collective_rates,
+    first_failure,
     phase_factors,
 )
 from .transition_operator import TransitionOperatorState
@@ -185,8 +186,9 @@ def integrate_transition_odes(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1D sequence of times")
-    if t[0] < 0.0:
-        raise ValueError(f"t_grid times must be nonnegative, got {t[0]}")
+    ok = np.isfinite(t) & (t >= 0.0)
+    if not ok.all():
+        raise ValueError(f"t_grid times must be finite and >= 0, got {first_failure(t, ok)}")
     if np.any(np.diff(t) < 0.0):
         raise ValueError("t_grid must be sorted in increasing order")
     if params.gamma * t[-1] > config.t_max * (1.0 + 1e-12):
@@ -287,6 +289,9 @@ def quadrature_spectrum(
     may be a scalar or an array.
     """
     omegas = np.atleast_1d(np.asarray(omega, dtype=float))
+    finite = np.isfinite(omegas)
+    if not finite.all():
+        raise ValueError(f"omega must be finite, got {first_failure(omegas, finite)}")
     t_eff = max(config.T / params.gamma, 2.0 * math.log(1e6) / _gamma_min(params))
     values = _photon_number(rho0, params, direction, omegas, t_eff)
     return float(values[0]) if np.isscalar(omega) else values

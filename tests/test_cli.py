@@ -7,6 +7,7 @@ scripts parsing the CSVs do not silently break.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,29 @@ def test_json_payload(tmp_path):
     assert payload["columns"] == RATE_HEADER.split(",")
     assert len(payload["samples"]) == 5
     assert payload["samples"][0]["Gamma_t"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, defaults, samples",
+    [
+        (["spectrum", "--k0d", "1", "--initial", "S"],
+         dict(direction="forward", omega_points=1601, t_points=501), 1601),
+        (["rate", "--k0d", "1", "--initial", "S"],
+         dict(direction="total", omega_points=1601, t_points=501), 501),
+        (["sweep", "--initial", "S", "--k0d-start", "0", "--k0d-stop", "1"],
+         dict(direction="total", omega_points=201, t_points=101, k0d_count=9), 9 * 101),
+        (["sweep", "--initial", "S", "--k0d-start", "0", "--k0d-stop", "1",
+          "--quantity", "spectrum"],
+         dict(direction="total", omega_points=201, t_points=101, k0d_count=9), 9 * 201),
+    ],
+)
+def test_json_config_echoes_per_subcommand_defaults(tmp_path, argv, defaults, samples):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--format", "json", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    config = payload["metadata"]["config"]
+    assert {key: config[key] for key in defaults} == defaults
+    assert len(payload["samples"]) == samples
 
 
 def test_sweep_blocks_and_threads(tmp_path):
@@ -331,6 +355,32 @@ def test_non_finite_flags_exit_1_in_one_short_line(argv, flag, capsys):
     assert captured.err.count("\n") == 1
     assert len(captured.err) < 200
     assert f"{flag} must be finite" in captured.err
+
+
+def _option_help(subcommand, capsys):
+    """{flag: help text} of one subcommand's --help, unwrapped."""
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("options:\n", 1)[1]
+    helps = {}
+    # one block per option: its invocation, then two or more blanks (or a
+    # line break) and the help text, if any
+    for block in re.split(r"\n(?=  -)", options.rstrip()):
+        invocation, *text = re.split(r"\s{2,}", block.strip(), maxsplit=1)
+        helps[invocation.split()[0].rstrip(",")] = " ".join(" ".join(text).split())
+    return helps
+
+
+def test_shared_options_have_one_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    seen = {}
+    for subcommand in ("spectrum", "rate", "prob", "sweep", "figures", "validate"):
+        for flag, text in _option_help(subcommand, capsys).items():
+            seen.setdefault(flag, {})[subcommand] = text
+    assert {"--gamma-ratio", "--initial", "--t-max"} <= seen.keys()
+    for flag, texts in seen.items():
+        assert len(set(texts.values())) == 1, (flag, texts)
 
 
 @pytest.mark.parametrize(

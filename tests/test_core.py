@@ -167,6 +167,11 @@ def test_density_validation_trace_and_population_range():
     # populations and trace fine, but |pSA|^2 > pSS * pAA
     with pytest.raises(ValueError, match="positive semidefinite"):
         DickeDensity(pSS=0.5, pAA=0.5, pSA=10j)
+    # the PSD tolerance is tight: a smallest eigenvalue of -1e-8, with valid
+    # populations, is refused, while -1e-12 is rounding and passes
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DickeDensity(pSS=0.5, pAA=0.5, pSA=0.5 + 1e-8)
+    DickeDensity(pSS=0.5, pAA=0.5, pSA=0.5 + 1e-12)
     # non-finite entries are named, not passed on as NaN spectra
     for field, value in (("pSA", complex("nan")), ("pSA", complex("infj")),
                          ("pGE", complex("nan")), ("pSS", math.inf)):

@@ -144,11 +144,16 @@ def test_integration_input_validation():
     with pytest.raises(ValueError):
         integrate_transition_odes(params, cfg, [])
     with pytest.raises(ValueError):
-        integrate_transition_odes(params, cfg, [-1.0, 0.0])
-    with pytest.raises(ValueError):
         integrate_transition_odes(params, cfg, [1.0, 0.5])
     with pytest.raises(ValueError, match="horizon"):
         integrate_transition_odes(params, cfg, [0.0, 20.0 / params.gamma])
+    # a NaN last time made the integrator spin without end, and a NaN
+    # inside the grid dropped that time from the result
+    for grid, bad in (([0.0, math.nan], "nan"), ([math.nan], "nan"),
+                      ([0.0, 1.0, math.nan, 2.0], "nan"), ([0.0, math.inf], "inf"),
+                      ([-1.0, 0.0], "-1.0")):
+        with pytest.raises(ValueError, match=f"t_grid times must be finite and >= 0, got {bad}$"):
+            integrate_transition_odes(params, cfg, grid)
     only_zero = integrate_transition_odes(params, cfg, [0.0])
     assert np.array_equal(only_zero[0].phi, np.eye(16))
 
@@ -283,6 +288,15 @@ def test_spectrum_refuses_spacings_too_close_to_dark():
     message = str(info.value)
     assert "Gamma_min/Gamma = 5e-13" in message
     assert "T_eff" in message
+
+
+def test_spectrum_names_a_non_finite_frequency():
+    # NaN used to pass on to the horizon check and be refused as "too
+    # close to dark", which says nothing about the input
+    params = _params(0.5 * math.pi)
+    for omega, bad in ((math.nan, "nan"), (np.array([1.0, math.inf, math.nan]), "inf")):
+        with pytest.raises(ValueError, match=f"omega must be finite, got {bad}$"):
+            quadrature_spectrum(preset_state("eg"), params, Direction.FORWARD, omega)
 
 
 def test_spectrum_is_finite_or_refused_at_every_distance_from_dark():
