@@ -25,12 +25,10 @@ from .core import (
     OMEGA,
     PRESET_NAMES,
     TOTAL,
-    CollectiveRates,
     DickeDensity,
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
     phase_factors,
     preset_state,
 )
@@ -61,12 +59,10 @@ __all__ = [
     "OMEGA",
     "PRESET_NAMES",
     "TOTAL",
-    "CollectiveRates",
     "DickeDensity",
     "DickeState",
     "Direction",
     "SystemParams",
-    "collective_rates",
     "phase_factors",
     "preset_state",
     "emission_rate",

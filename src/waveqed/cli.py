@@ -320,7 +320,7 @@ def _spectrum_checks(gamma_ratio: float):
     """Analytic spectral density against the block-exponential oracle."""
     from . import oracle
 
-    config = oracle.QuadratureConfig(T=20.0, n_steps=1024)
+    config = oracle.QuadratureConfig(T=20.0)
     cases = (
         ("S", 2 * _PI, [1.0]),
         ("eg", 0.5 * _PI, [1.0 - gamma_ratio, 1.0, 1.0 + gamma_ratio]),

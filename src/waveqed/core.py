@@ -21,9 +21,8 @@ direction carries the interference lobe.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,9 +32,6 @@ OMEGA = 1.0  # qubit resonance frequency, the frequency unit
 #: tolerance for snapping cos/sin(k0d) onto the exact n*pi values; see
 #: phase_factors
 _TRIG_SNAP = 1e-12
-
-#: spacings whose collective rates are kept
-_RATE_CACHE_SIZE = 256
 
 
 class DickeState(Enum):
@@ -106,41 +102,12 @@ class SystemParams:
         frequency (Gamma/Omega), dimensionless, > 0.
     k0d: effective inter-qubit distance in radians (k0*d).  All rate
         formulas are 2pi-periodic in it.
-    """
 
-    gamma_ratio: float
-    k0d: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma_ratio) and self.gamma_ratio > 0):
-            raise ValueError(
-                f"gamma_ratio must be finite and > 0, got {self.gamma_ratio}"
-            )
-        if not (math.isfinite(self.k0d) and self.k0d >= 0):
-            raise ValueError(f"k0d must be finite and >= 0, got {self.k0d}")
-        # equal keys of the collective_rates cache must hold equal floats
-        object.__setattr__(self, "gamma_ratio", float(self.gamma_ratio))
-        object.__setattr__(self, "k0d", float(self.k0d))
-
-    @property
-    def gamma(self) -> float:
-        """Single-qubit decay rate Gamma in units of Omega."""
-        return self.gamma_ratio * OMEGA
-
-
-@dataclass(frozen=True)
-class CollectiveRates:
-    """Decay rates and level shifts of the symmetric/antisymmetric channels."""
-
-    gamma_plus: float
-    gamma_minus: float
-    omega_plus: float
-    omega_minus: float
-
-
-@functools.lru_cache(maxsize=_RATE_CACHE_SIZE)
-def collective_rates(params: SystemParams) -> CollectiveRates:
-    """Collective decay rates Gamma(1 +- cos k0d) and shifts Omega +- (Gamma/2) sin k0d.
+    Construction also fixes what the spacing determines, read-only and
+    left out of comparison and repr: gamma (Gamma in units of Omega),
+    sin_k0d (snapped by phase_factors), the collective decay rates
+    gamma_plus/gamma_minus = Gamma(1 +- cos k0d) and the shifted
+    frequencies omega_plus/omega_minus = Omega +- (Gamma/2) sin k0d.
 
     The smaller rate comes from the half angle, 2*Gamma*cos^2(k0d/2) or
     2*Gamma*sin^2(k0d/2), so a nearly dark channel keeps its full
@@ -149,21 +116,40 @@ def collective_rates(params: SystemParams) -> CollectiveRates:
     gamma_plus + gamma_minus = 2*Gamma and omega_plus + omega_minus =
     2*Omega hold bit-exactly, not just to rounding.
     """
-    g = params.gamma
-    c, s = phase_factors(params.k0d)
-    if c < 0.0:
-        gamma_plus = 0.0 if s == 0.0 else 2.0 * g * math.cos(0.5 * params.k0d) ** 2
-        gamma_minus = 2.0 * g - gamma_plus
-    else:
-        gamma_minus = 0.0 if s == 0.0 else 2.0 * g * math.sin(0.5 * params.k0d) ** 2
-        gamma_plus = 2.0 * g - gamma_minus
-    omega_plus = OMEGA + 0.5 * g * s
-    return CollectiveRates(
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        omega_plus=omega_plus,
-        omega_minus=2.0 * OMEGA - omega_plus,
-    )
+
+    gamma_ratio: float
+    k0d: float
+    gamma: float = field(init=False, repr=False, compare=False)
+    sin_k0d: float = field(init=False, repr=False, compare=False)
+    gamma_plus: float = field(init=False, repr=False, compare=False)
+    gamma_minus: float = field(init=False, repr=False, compare=False)
+    omega_plus: float = field(init=False, repr=False, compare=False)
+    omega_minus: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma_ratio) and self.gamma_ratio > 0):
+            raise ValueError(
+                f"gamma_ratio must be finite and > 0, got {self.gamma_ratio}"
+            )
+        if not (math.isfinite(self.k0d) and self.k0d >= 0):
+            raise ValueError(f"k0d must be finite and >= 0, got {self.k0d}")
+        # Python floats, so scalar arithmetic never runs on numpy scalars
+        ratio, k0d = float(self.gamma_ratio), float(self.k0d)
+        g = ratio * OMEGA
+        c, s = phase_factors(k0d)
+        if c < 0.0:
+            gamma_plus = 0.0 if s == 0.0 else 2.0 * g * math.cos(0.5 * k0d) ** 2
+            gamma_minus = 2.0 * g - gamma_plus
+        else:
+            gamma_minus = 0.0 if s == 0.0 else 2.0 * g * math.sin(0.5 * k0d) ** 2
+            gamma_plus = 2.0 * g - gamma_minus
+        omega_plus = OMEGA + 0.5 * g * s
+        # frozen: write past the dataclass __setattr__
+        vars(self).update(
+            gamma_ratio=ratio, k0d=k0d, gamma=g, sin_k0d=s,
+            gamma_plus=gamma_plus, gamma_minus=gamma_minus,
+            omega_plus=omega_plus, omega_minus=2.0 * OMEGA - omega_plus,
+        )
 
 
 def everywhere(mask) -> bool:

@@ -27,8 +27,6 @@ from .core import (
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
-    phase_factors,
 )
 from .transition_operator import population_elements
 
@@ -61,16 +59,12 @@ def emission_rate(rho0: DickeDensity, params: SystemParams, t, direction=TOTAL):
     """
     if direction is not TOTAL and not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
-    g = params.gamma
-    r = collective_rates(params)
+    g, s = params.gamma, params.sin_k0d
     pops = population_elements(params, t)
     occ_e = pops[_E, _E] * rho0.pEE
     occ_s = pops[_S, _S] * rho0.pSS + pops[_S, _E] * rho0.pEE
     occ_a = pops[_A, _A] * rho0.pAA + pops[_A, _E] * rho0.pEE
-    w = g * occ_e + 0.5 * r.gamma_plus * occ_s + 0.5 * r.gamma_minus * occ_a
-    _c, s = phase_factors(params.k0d)
-    if s == 0.0 or rho0.pSA == 0:
-        return w + w if direction is TOTAL else w
+    w = g * occ_e + 0.5 * params.gamma_plus * occ_s + 0.5 * params.gamma_minus * occ_a
     # coefficient of |A><S| inside <P_AS(t)>; the lobe enters the forward
     # rate with -sin k0d and the backward one with +sin k0d
     coh_as = np.exp(-g * (1.0 + 1j * s) * t)
@@ -97,16 +91,12 @@ def radiated_energy(
         )
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
-    r = collective_rates(params)
-    _c, s = phase_factors(params.k0d)
+    s, sa = params.sin_k0d, rho0.pSA
     # per direction: 1/2 direct + (1 + cos k0d)/4 via S + (1 - cos k0d)/4 via A = 1
     energy = rho0.pEE
-    if r.gamma_plus > 0.0:
+    if params.gamma_plus > 0.0:
         energy += 0.5 * rho0.pSS
-    if r.gamma_minus > 0.0:
+    if params.gamma_minus > 0.0:
         energy += 0.5 * rho0.pAA
-    s_dir = direction.sign * s
-    if s_dir != 0.0 and rho0.pSA != 0:
-        sa = rho0.pSA
-        energy -= s_dir * (sa.imag - s * sa.real) / (1.0 + s * s)
+    energy -= direction.sign * s * (sa.imag - s * sa.real) / (1.0 + s * s)
     return float(energy)

@@ -58,7 +58,6 @@ from .core import (
     DickeDensity,
     Direction,
     SystemParams,
-    collective_rates,
     first_failure,
     phase_factors,
 )
@@ -236,8 +235,7 @@ def _emission_vectors(params: SystemParams, direction: Direction) -> tuple:
 
 def _gamma_min(params: SystemParams) -> float:
     """Smallest nonzero collective rate; an exactly dark channel never emits."""
-    r = collective_rates(params)
-    return min(g for g in (r.gamma_plus, r.gamma_minus) if g > 0.0)
+    return min(g for g in (params.gamma_plus, params.gamma_minus) if g > 0.0)
 
 
 def _photon_number(

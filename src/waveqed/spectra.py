@@ -34,10 +34,8 @@ from .core import (
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
     everywhere,
     first_failure,
-    phase_factors,
 )
 
 
@@ -73,18 +71,19 @@ def photon_number(
         raise ValueError("photon number needs a scalar t; call it once per time")
     if not t >= 0.0:
         raise ValueError(f"photon number is defined for t >= 0, got {t}")
+    if isinstance(omega, (complex, np.complexfloating)):
+        raise ValueError(f"omega must be real, got {omega}")
+    if isinstance(omega, np.ndarray) and omega.dtype.kind == "c":
+        raise ValueError(f"omega must be real, got a {omega.dtype} array")
     finite = abs(omega) < INF  # False for NaN too
     if not everywhere(finite):
         raise ValueError(f"omega must be finite, got {first_failure(omega, finite)}")
     if t != INF and np.ndim(omega) != 0:
         raise ValueError("finite t needs a scalar omega; only t = inf takes an array")
-    g = params.gamma
-    _c, s = phase_factors(params.k0d)
-    r = collective_rates(params)
-    gp, gm = r.gamma_plus, r.gamma_minus
+    g, s, gp, gm = params.gamma, params.sin_k0d, params.gamma_plus, params.gamma_minus
     a = gp / g  # 1 + cos k0d, without cancellation
     b = gm / g  # 1 - cos k0d
-    dp, dm = omega - r.omega_plus, omega - r.omega_minus  # detector detunings
+    dp, dm = omega - params.omega_plus, omega - params.omega_minus  # detector detunings
     sk = direction.sign * s
     z1 = 1j * dm + 0.5 * gp + g
     z2 = 1j * dp + 0.5 * gp
@@ -160,13 +159,11 @@ def line_tail_area(
         raise ValueError(f"only the S and A lines are single Lorentzians, got {state}")
     if not half_width >= 0.0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    r = collective_rates(params)
-    g_line = r.gamma_plus if state is DickeState.S else r.gamma_minus
+    g_line = params.gamma_plus if state is DickeState.S else params.gamma_minus
     if g_line == 0.0:
         return 0.0
-    _c, s = phase_factors(params.k0d)
     # line center minus Omega for S, its negative for A: the area is even in it
-    shift = 0.5 * params.gamma * s
+    shift = 0.5 * params.gamma * params.sin_k0d
     q = 0.5 * g_line
     return 2.0 * (
         math.pi
@@ -186,10 +183,10 @@ class PeakAnalysis:
 def peak_analysis(samples) -> PeakAnalysis:
     """Locate spectral peaks by three-point maxima with parabolic refinement.
 
-    samples: ordered sequence of SpectrumSample with strictly increasing
-    omega; at least three are required.  Each refined vertex lies between
-    the midpoints on either side of its grid maximum, so the peaks come
-    out in increasing omega.  Fewer than two peaks leaves the separation
+    samples: ordered sequence of SpectrumSample with finite entries and
+    strictly increasing omega; at least three are required.  Each
+    refined vertex lies between the midpoints on either side of its grid
+    maximum, so the peaks come out in increasing omega.  Fewer than two peaks leaves the separation
     undefined (None), which is not an error.
     """
     samples = list(samples)
@@ -197,7 +194,11 @@ def peak_analysis(samples) -> PeakAnalysis:
         raise ValueError(f"peak analysis needs at least 3 samples, got {len(samples)}")
     x = np.array([s.omega for s in samples])
     v = np.array([s.value for s in samples])
-    if np.any(np.diff(x) <= 0.0):
+    for name, arr in (("omega", x), ("value", v)):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"sample {name} must be finite, got {first_failure(arr, finite)}")
+    if not np.all(np.diff(x) > 0.0):
         raise ValueError("samples must have strictly increasing omega")
     maxima = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
     peaks = [_refine_parabolic(x, v, i) for i in maxima]

@@ -40,15 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stable import INF, dexp
-from .core import (
-    BASIS,
-    OMEGA,
-    SystemParams,
-    collective_rates,
-    everywhere,
-    first_failure,
-    phase_factors,
-)
+from .core import BASIS, OMEGA, SystemParams, everywhere, first_failure
 
 # positions in BASIS
 _G, _E, _S, _A = range(4)
@@ -70,9 +62,7 @@ def population_elements(params: SystemParams, t) -> np.ndarray:
     of the transition operators), which the tests assert.
     """
     _check_time(t)
-    g = params.gamma
-    r = collective_rates(params)
-    gp, gm = r.gamma_plus, r.gamma_minus
+    g, gp, gm = params.gamma, params.gamma_plus, params.gamma_minus
     a = gp / g  # 1 + cos k0d, without cancellation
     b = gm / g  # 1 - cos k0d
     u = np.exp(-2.0 * g * t)
@@ -129,14 +119,11 @@ class TransitionOperatorState:
 def closed_form_state(params: SystemParams, t: float) -> TransitionOperatorState:
     """Exact coefficients at one scalar time t, packaged as a state object."""
     _check_time(t)
-    g = params.gamma
-    _c, s = phase_factors(params.k0d)
-    r = collective_rates(params)
-    gp, gm = r.gamma_plus, r.gamma_minus
-    z_ae = 1j * r.omega_plus + 0.5 * gm + g
-    z_se = 1j * r.omega_minus + 0.5 * gp + g
-    z_ga = 1j * r.omega_minus + 0.5 * gm
-    z_gs = 1j * r.omega_plus + 0.5 * gp
+    g, s, gp, gm = params.gamma, params.sin_k0d, params.gamma_plus, params.gamma_minus
+    z_ae = 1j * params.omega_plus + 0.5 * gm + g
+    z_se = 1j * params.omega_minus + 0.5 * gp + g
+    z_ga = 1j * params.omega_minus + 0.5 * gm
+    z_gs = 1j * params.omega_plus + 0.5 * gp
     phi = np.zeros((16, 16), dtype=complex)
     phi[::5, ::5] = population_elements(params, t).T
     # (i, j, m, n, weight of |m><n| inside <P_ij>) for the six independent

@@ -22,7 +22,6 @@ from waveqed.core import (
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
     preset_state,
 )
 from waveqed.observables import (
@@ -88,7 +87,7 @@ def test_criterion_1_superradiant_decay():
 
     # independent route: integrate the equations of motion and apply the
     # occupation weight to the numerically evolved S population
-    gp = collective_rates(params).gamma_plus
+    gp = params.gamma_plus
     ss = BASIS_INDEX[S]
     worst = 0.0
     for state in integrate_transition_odes(params, ODE_TIGHT, t_grid):

@@ -17,8 +17,10 @@ from waveqed.cli import (
     PROB_HEADER,
     RATE_HEADER,
     SPECTRUM_HEADER,
+    RunConfig,
     main,
     parse_density_file,
+    run,
 )
 from waveqed.core import preset_state
 
@@ -323,6 +325,9 @@ def test_density_file_rejects_named_rule(tmp_path, text, rule, capsys):
          "--omega-min", "1.2", "--omega-max", "1.1"],
         ["rate", "--k0d", "3.14", "--initial", "S", "--t-max", "0"],
         ["sweep", "--initial", "S", "--k0d-start", "3.0", "--k0d-stop", "1.0"],
+        ["spectrum", "--k0d", "1", "--initial", "S", "--omega-points", "1"],
+        ["rate", "--k0d", "1", "--initial", "S", "--t-points", "1"],
+        ["sweep", "--initial", "S", "--k0d-start", "0", "--k0d-stop", "1", "--k0d-count", "0"],
     ],
 )
 def test_input_errors_exit_1(argv, capsys):
@@ -330,6 +335,22 @@ def test_input_errors_exit_1(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1  # one line, shell friendly
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"subcommand": "sweep", "initial": "S"}, "sweep needs --k0d-start and --k0d-stop"),
+        ({"subcommand": "prob", "k0d": 1.0, "from_state": "X"},
+         "transition states must be one of G, E, S, A, got 'X'"),
+        ({"subcommand": "validate", "suite": "nope"}, "unknown validation suite 'nope'"),
+        ({"subcommand": "nope"}, "unknown subcommand 'nope'"),
+    ],
+)
+def test_library_run_rejects_what_the_parser_never_passes(kwargs, message):
+    # the parser's choices and required flags stop these before RunConfig
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(RunConfig(**kwargs))
 
 
 @pytest.mark.parametrize(

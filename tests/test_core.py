@@ -1,5 +1,6 @@
 """Domain types: parameters, collective rates, density matrices, presets."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -16,7 +17,6 @@ from waveqed.core import (
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
     phase_factors,
     preset_state,
 )
@@ -89,19 +89,29 @@ def test_system_params_gamma_and_unit_flag():
     "k0d", [0.0, 0.25 * math.pi, 0.5 * math.pi, math.pi, 1.3, 2 * math.pi, 7.0]
 )
 def test_collective_rates_sum_rules_bit_exact(k0d):
-    r = collective_rates(SystemParams(gamma_ratio=GAMMA, k0d=k0d))
+    r = SystemParams(gamma_ratio=GAMMA, k0d=k0d)
     assert r.gamma_plus + r.gamma_minus == 2.0 * GAMMA
     assert r.omega_plus + r.omega_minus == 2.0 * OMEGA
     assert r.gamma_plus >= 0.0
     assert r.gamma_minus >= 0.0
 
 
-def test_equal_parameters_share_one_cached_rate_of_python_floats():
-    # numpy scalars first: the cached value must not carry their type
-    first = collective_rates(SystemParams(np.float64(0.0625), np.float64(1.7)))
-    assert collective_rates(SystemParams(0.0625, 1.7)) is first
-    assert {type(v) for v in vars(first).values()} == {float}
+def test_params_hold_python_floats_and_compare_by_their_inputs():
+    # numpy scalars in: every field and derived rate comes out a Python float
+    p = SystemParams(np.float64(0.0625), np.float64(1.7))
+    assert {type(v) for v in vars(p).values()} == {float}
     assert type(SystemParams(0.05, 2).k0d) is float
+    q = SystemParams(0.0625, 1.7)
+    assert p == q and hash(p) == hash(q)
+    assert vars(p) == vars(q)
+    assert p != SystemParams(0.0625, 1.8)
+    assert repr(SystemParams(0.05, 1.0)) == "SystemParams(gamma_ratio=0.05, k0d=1.0)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.gamma_plus = 0.0
+    with pytest.raises(TypeError):
+        SystemParams(0.05, 1.0, gamma=1.0)
+    moved = dataclasses.replace(p, k0d=math.pi)
+    assert (moved.gamma_plus, moved.sin_k0d) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -110,7 +120,7 @@ def test_nearly_dark_channel_keeps_its_rate(n, delta):
     # within 1.4e-6 of n*pi, 1 +- cos k0d cancels to zero or to a few
     # ulp while sin k0d, which drives the S-A coherence, survives
     k0d = n * math.pi + delta
-    r = collective_rates(SystemParams(gamma_ratio=GAMMA, k0d=k0d))
+    r = SystemParams(gamma_ratio=GAMMA, k0d=k0d)
     dark = r.gamma_minus if n % 2 == 0 else r.gamma_plus
     with mpmath.workdps(40):
         half = mpmath.mpf(k0d) / 2
@@ -122,14 +132,14 @@ def test_nearly_dark_channel_keeps_its_rate(n, delta):
 
 
 def test_collective_rates_special_points():
-    r2pi = collective_rates(SystemParams(gamma_ratio=GAMMA, k0d=2 * math.pi))
+    r2pi = SystemParams(gamma_ratio=GAMMA, k0d=2 * math.pi)
     assert r2pi.gamma_plus == 2.0 * GAMMA
     assert r2pi.gamma_minus == 0.0
     assert r2pi.omega_plus == OMEGA
-    rpi = collective_rates(SystemParams(gamma_ratio=GAMMA, k0d=math.pi))
+    rpi = SystemParams(gamma_ratio=GAMMA, k0d=math.pi)
     assert rpi.gamma_plus == 0.0
     assert rpi.gamma_minus == 2.0 * GAMMA
-    rhalf = collective_rates(SystemParams(gamma_ratio=GAMMA, k0d=0.5 * math.pi))
+    rhalf = SystemParams(gamma_ratio=GAMMA, k0d=0.5 * math.pi)
     assert rhalf.gamma_plus == pytest.approx(GAMMA, rel=1e-15)
     assert rhalf.omega_plus == pytest.approx(OMEGA + 0.5 * GAMMA, rel=1e-15)
 

@@ -25,8 +25,8 @@ ORACLE_NAMES = (
 
 ALL = [
     "__version__", "BASIS", "BASIS_INDEX", "OMEGA", "PRESET_NAMES", "TOTAL",
-    "CollectiveRates", "DickeDensity", "DickeState", "Direction", "SystemParams",
-    "collective_rates", "phase_factors", "preset_state", "emission_rate",
+    "DickeDensity", "DickeState", "Direction", "SystemParams",
+    "phase_factors", "preset_state", "emission_rate",
     "radiated_energy",
     "transition_probability", *ORACLE_NAMES, "PeakAnalysis",
     "SpectrumSample", "line_tail_area", "peak_analysis",

@@ -21,7 +21,6 @@ from waveqed.core import (
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
 )
 from waveqed.observables import emission_rate, radiated_energy, transition_probability
 from waveqed.oracle import _L0, _adjoint_generator, _photon_number
@@ -217,8 +216,7 @@ def test_long_times_stay_finite_and_decay(rho, k0d):
         # a channel within 1e-6 of n*pi stays populated, but radiates at
         # a rate below Gamma * 1e-12
         assert abs(rate[-1]) <= 1e-12 * GAMMA
-    r = collective_rates(params)
-    if min(r.gamma_plus, r.gamma_minus) * t[-1] > 800.0:
+    if min(params.gamma_plus, params.gamma_minus) * t[-1] > 800.0:
         # every channel has rung down: all weight sits in the ground state
         assert np.max(np.abs(table[1:, :, -1])) <= 1e-300
         assert np.all(table[0, :, -1] == 1.0)
@@ -229,10 +227,9 @@ def test_long_times_stay_finite_and_decay(rho, k0d):
 def test_radiated_energy_is_the_time_integral_of_the_rate(rho, k0d):
     params = SystemParams(GAMMA, k0d)
     state = DickeDensity.from_matrix(rho)
-    r = collective_rates(params)
     # until the slowest decay (a collective channel, or the S-A coherence
     # at Gamma) has fallen by e^-50, which takes up to Gamma t ~ 1,100
-    slowest = min(r.gamma_plus, r.gamma_minus, params.gamma)
+    slowest = min(params.gamma_plus, params.gamma_minus, params.gamma)
     steps = 2 * math.ceil(5000.0 * params.gamma / slowest)  # h <= 0.005/Gamma
     t, h = np.linspace(0.0, 50.0 / slowest, steps + 1, retstep=True)
     for direction in (F, B):

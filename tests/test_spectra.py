@@ -14,7 +14,6 @@ from waveqed.core import (
     DickeState,
     Direction,
     SystemParams,
-    collective_rates,
     phase_factors,
     preset_state,
 )
@@ -54,11 +53,10 @@ def _samples(name, params, direction, omegas):
 @pytest.mark.parametrize("direction", [F, B])
 def test_symmetric_state_is_a_single_lorentzian(k0d, direction):
     params = _params(k0d)
-    r = collective_rates(params)
     rho0 = preset_state("S")
     for w in OMEGA_GRID:
-        delta = float(w) - r.omega_plus
-        want = r.gamma_plus / (delta**2 + 0.25 * r.gamma_plus**2)
+        delta = float(w) - params.omega_plus
+        want = params.gamma_plus / (delta**2 + 0.25 * params.gamma_plus**2)
         got = spectral_density(rho0, params, direction, float(w))
         assert got == pytest.approx(want, rel=1e-12)
     # no interference term: both directions identical
@@ -70,11 +68,10 @@ def test_symmetric_state_is_a_single_lorentzian(k0d, direction):
 @pytest.mark.parametrize("k0d", [0.25 * math.pi, math.pi, 2.2])
 def test_antisymmetric_state_is_the_minus_line(k0d):
     params = _params(k0d)
-    r = collective_rates(params)
     rho0 = preset_state("A")
     for w in OMEGA_GRID:
-        delta = float(w) - r.omega_minus
-        want = r.gamma_minus / (delta**2 + 0.25 * r.gamma_minus**2)
+        delta = float(w) - params.omega_minus
+        want = params.gamma_minus / (delta**2 + 0.25 * params.gamma_minus**2)
         assert spectral_density(rho0, params, F, float(w)) == pytest.approx(
             want, rel=1e-12
         )
@@ -175,6 +172,14 @@ def test_peak_analysis_mechanics():
         for a, b in ((0.0, 0.0), (4.0, 5e-324), (8.0, 0.0))
     ]
     assert peak_analysis(flat).peaks == ((4.0, 5e-324),)
+    # NaN compares False both ways, so neither may slip past the order check
+    for omegas, values, bad in (((0.0, math.nan, 2.0), (0.0, 1.0, 0.0), "omega"),
+                                ((0.0, 1.0, 2.0, 3.0, 4.0), (0.0, math.nan, 0.0, 1.0, 0.0),
+                                 "value")):
+        nan = [SpectrumSample(omega=a, value=b, direction=F, initial=None)
+               for a, b in zip(omegas, values)]
+        with pytest.raises(ValueError, match=f"sample {bad} must be finite, got nan"):
+            peak_analysis(nan)
 
 
 @pytest.mark.parametrize(
@@ -224,8 +229,7 @@ def test_single_qubit_baseline_curves():
 def test_photon_number_starts_at_zero_and_grows_to_the_spectrum():
     params = _params(0.5 * math.pi)
     rho0 = preset_state("S")
-    r = collective_rates(params)
-    omega = r.omega_plus  # on the line center
+    omega = params.omega_plus  # on the line center
     assert photon_number(rho0, params, F, omega, 0.0) == 0.0
     previous = -1.0
     for t in (5.0, 20.0, 60.0, 200.0):
@@ -271,8 +275,7 @@ def test_integrated_spectrum_flux_matches_the_emission_rate():
 def test_detuning_difference_is_the_collective_splitting():
     for k0d in (0.3, 0.5 * math.pi, 2.9):
         params = _params(k0d)
-        r = collective_rates(params)
-        assert r.omega_plus - r.omega_minus == pytest.approx(
+        assert params.omega_plus - params.omega_minus == pytest.approx(
             GAMMA * math.sin(k0d), rel=1e-12
         )
 
@@ -297,6 +300,17 @@ def test_non_finite_omega_rejected(omega):
     with pytest.raises(ValueError, match="omega must be finite"):
         spectral_density(rho0, params, F, omega)
     with pytest.raises(ValueError, match="omega must be finite"):
+        photon_number(rho0, params, F, omega, math.inf)
+
+
+@pytest.mark.parametrize("omega", [1.0 + 1.0j, np.array([1.0, 1.0 + 1e-3j])])
+def test_complex_omega_rejected(omega):
+    # abs() of a complex omega is finite, and the kernel would return the
+    # real part of a complex-frequency evaluation
+    rho0, params = preset_state("eg"), _params(1.0)
+    with pytest.raises(ValueError, match="omega must be real"):
+        spectral_density(rho0, params, F, omega)
+    with pytest.raises(ValueError, match="omega must be real"):
         photon_number(rho0, params, F, omega, math.inf)
 
 
@@ -360,12 +374,11 @@ def _mp_photon_number(rho0, params, direction, omega, t):
         zero, i = mp.mpf(0), mp.mpc(0, 1)
         t = mp.mpf(t)
         g = mp.mpf(params.gamma)
-        r = collective_rates(params)
         s = mp.mpf(phase_factors(params.k0d)[1])
-        gp, gm = mp.mpf(r.gamma_plus), mp.mpf(r.gamma_minus)
+        gp, gm = mp.mpf(params.gamma_plus), mp.mpf(params.gamma_minus)
         a, b = gp / g, gm / g
-        dp = mp.mpf(omega) - mp.mpf(r.omega_plus)
-        dm = mp.mpf(omega) - mp.mpf(r.omega_minus)
+        dp = mp.mpf(omega) - mp.mpf(params.omega_plus)
+        dm = mp.mpf(omega) - mp.mpf(params.omega_minus)
         sk = direction.sign * s
         z1, z2 = i * dm + gp / 2 + g, i * dp + gp / 2
         z4, z5 = i * dp + gm / 2 + g, i * dm + gm / 2
@@ -415,10 +428,9 @@ def test_finite_time_photon_number_matches_a_100_digit_reference(k0d):
     # near n*pi a collective rate and the dark-line detuning both go to
     # 0; a kernel that divides by either loses its digits right there
     params = _params(k0d)
-    r = collective_rates(params)
     detectors = (
-        r.omega_minus, r.omega_plus, 1.0, r.omega_minus + 0.5 * GAMMA,
-        r.omega_plus - 2.0 * GAMMA,
+        params.omega_minus, params.omega_plus, 1.0, params.omega_minus + 0.5 * GAMMA,
+        params.omega_plus - 2.0 * GAMMA,
     )
     times = np.linspace(0.0, 12.0, 11) / GAMMA
     for rho0 in (preset_state("E"), preset_state("A"), _random_density(7)):

@@ -42,6 +42,9 @@ rate --k0d 3.14 --initial S --gamma-ratio -0.05
 spectrum --k0d 3.14 --initial S --omega-min 1.2 --omega-max 1.1
 rate --k0d 3.14 --initial S --t-max 0
 sweep --initial S --k0d-start 3.0 --k0d-stop 1.0
+spectrum --k0d 1 --initial S --omega-points 1
+rate --k0d 1 --initial S --t-points 1
+sweep --initial S --k0d-start 0 --k0d-stop 1 --k0d-count 0
 rate --initial S --k0d 1 --t-max nan
 rate --initial S --k0d 1 --t-max inf
 rate --initial S --k0d nan
