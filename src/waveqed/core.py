@@ -152,6 +152,19 @@ class SystemParams:
         )
 
 
+def as_array(values):
+    """A list or tuple as a numpy array, so that it takes the array path.
+
+    Real entries become float64, as np.asarray(values, dtype=float)
+    makes them; a complex entry keeps the complex dtype, for the caller
+    to reject by name.  Anything else passes through unchanged.
+    """
+    if not isinstance(values, (list, tuple)):
+        return values
+    values = np.asarray(values)
+    return values if values.dtype.kind == "c" else values.astype(float)
+
+
 def everywhere(mask) -> bool:
     """True when a comparison holds for a scalar or for every array entry.
 

@@ -13,7 +13,8 @@ the interference.  All rate curves reported by the CLI divide by Gamma.
 
 Rates and transition probabilities take t as a scalar or as an array
 of times and return a float or an array shaped like t; one call
-computes a whole curve.
+computes a whole curve.  Scalar calls at one (params, t) share one
+population table, held in a fixed-size cache with nothing to set.
 """
 
 from __future__ import annotations
@@ -21,18 +22,28 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    BASIS,
     BASIS_INDEX,
     TOTAL,
     DickeDensity,
     DickeState,
     Direction,
     SystemParams,
+    as_array,
 )
-from .transition_operator import population_elements
+from .transition_operator import _population_table
 
 _E = BASIS_INDEX[DickeState.E]
 _S = BASIS_INDEX[DickeState.S]
 _A = BASIS_INDEX[DickeState.A]
+
+
+def _basis_index(name: str, state) -> int:
+    try:
+        return BASIS_INDEX[state]
+    except (KeyError, TypeError):  # TypeError: an unhashable argument
+        valid = ", ".join(str(member) for member in BASIS)
+        raise ValueError(f"{name} must be one of {valid}, got {state!r}") from None
 
 
 def transition_probability(
@@ -44,7 +55,8 @@ def transition_probability(
     weight of the |initial><initial| dyad inside <P_final,final(t)>.
     t may be an array of times.
     """
-    value = population_elements(params, t)[BASIS_INDEX[final], BASIS_INDEX[initial]]
+    i, f = _basis_index("initial", initial), _basis_index("final", final)
+    value = _population_table(params, t)[f, i]
     # rounding dust from the feed terms near t = 0 becomes +0.0
     dust = (-1e-12 < value) & (value < 0.0)
     return value - value * dust
@@ -59,8 +71,9 @@ def emission_rate(rho0: DickeDensity, params: SystemParams, t, direction=TOTAL):
     """
     if direction is not TOTAL and not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
+    t = as_array(t)
     g, s = params.gamma, params.sin_k0d
-    pops = population_elements(params, t)
+    pops = _population_table(params, t)
     occ_e = pops[_E, _E] * rho0.pEE
     occ_s = pops[_S, _S] * rho0.pSS + pops[_S, _E] * rho0.pEE
     occ_a = pops[_A, _A] * rho0.pAA + pops[_A, _E] * rho0.pEE

@@ -34,6 +34,7 @@ from .core import (
     DickeState,
     Direction,
     SystemParams,
+    as_array,
     everywhere,
     first_failure,
 )
@@ -71,6 +72,7 @@ def photon_number(
         raise ValueError("photon number needs a scalar t; call it once per time")
     if not t >= 0.0:
         raise ValueError(f"photon number is defined for t >= 0, got {t}")
+    omega = as_array(omega)
     if isinstance(omega, (complex, np.complexfloating)):
         raise ValueError(f"omega must be real, got {omega}")
     if isinstance(omega, np.ndarray) and omega.dtype.kind == "c":

@@ -35,12 +35,13 @@ k0d = 2*pi) come out exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._stable import INF, dexp
-from .core import BASIS, OMEGA, SystemParams, everywhere, first_failure
+from .core import BASIS, OMEGA, SystemParams, as_array, everywhere, first_failure
 
 # positions in BASIS
 _G, _E, _S, _A = range(4)
@@ -59,8 +60,10 @@ def population_elements(params: SystemParams, t) -> np.ndarray:
 
     Returns an array of shape (4, 4) + shape(t), indexed [i, m] in BASIS
     order.  The columns sum to 1 over i for every dyad m (completeness
-    of the transition operators), which the tests assert.
+    of the transition operators), which the tests assert.  t may be a
+    scalar, an array, or a list or tuple of times.
     """
+    t = as_array(t)
     _check_time(t)
     g, gp, gm = params.gamma, params.gamma_plus, params.gamma_minus
     a = gp / g  # 1 + cos k0d, without cancellation
@@ -81,6 +84,34 @@ def population_elements(params: SystemParams, t) -> np.ndarray:
         [zero, feed_s, p, zero],
         [zero, feed_a, zero, m_],
     ])
+
+
+#: scalar tables held at once: more than one 501-point time grid, so a
+#: loop over t for curve after curve at one spacing reads each table back
+_TABLE_CACHE_SIZE = 1024
+#: the t types held; an int or float32 t builds its table afresh
+_CACHED_TIMES = (float, np.float64)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cached_table(params: SystemParams, t: float) -> np.ndarray:
+    table = population_elements(params, t)
+    table.setflags(write=False)  # one array serves every later caller
+    return table
+
+
+def _population_table(params: SystemParams, t) -> np.ndarray:
+    """population_elements, shared by repeated scalar calls at one (params, t).
+
+    Every transition probability and emission rate at one scalar time
+    reads the same 4x4 table, so a float t keeps its table, read-only,
+    in a bounded LRU cache.  t = 0 is not held: -0.0 and 0.0 are one
+    key, but their tables differ in the sign of a zero.  Other times
+    go to the kernel.
+    """
+    if type(t) in _CACHED_TIMES and t != 0.0:
+        return _cached_table(params, t)
+    return population_elements(params, t)
 
 
 @dataclass(frozen=True, eq=False)

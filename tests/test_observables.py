@@ -224,3 +224,33 @@ def test_non_finite_or_negative_time_rejected(t):
             emission_rate(preset_state("eg"), params, t, direction)
     with pytest.raises(ValueError, match="t must be finite"):
         transition_probability(E, S, params, t)
+
+
+@pytest.mark.parametrize("t", [[0.0, 3.0, 31.0], (0, 3, 31.0)])
+def test_emission_rate_takes_a_list_as_its_array(t):
+    params, rho0 = _params(1.0), preset_state("eg")
+    for direction in (F, B, TOTAL):
+        expected = emission_rate(rho0, params, np.array(t, dtype=float), direction)
+        assert emission_rate(rho0, params, t, direction).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("t", [[0.0, 3.0, 31.0], (0, 3, 31.0)])
+def test_transition_probability_takes_a_list_as_its_array(t):
+    params = _params(1.0)
+    for initial in (E, S):
+        expected = transition_probability(initial, S, params, np.array(t, dtype=float))
+        assert transition_probability(initial, S, params, t).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("initial", "final", "message"),
+    [("E", S, "initial must be one of {}, got 'E'"),
+     (E, "S", "final must be one of {}, got 'S'"),
+     (E, None, "final must be one of {}, got None"),
+     ([E], S, "initial must be one of {}, got [<DickeState.E: 'E'>]")],
+)
+def test_bad_state_names_the_argument(initial, final, message):
+    valid = "DickeState.G, DickeState.E, DickeState.S, DickeState.A"
+    with pytest.raises(ValueError) as exc:
+        transition_probability(initial, final, _params(1.0), 1.0)
+    assert str(exc.value) == message.format(valid)

@@ -25,7 +25,7 @@ from waveqed.core import (
 from waveqed.observables import emission_rate, radiated_energy, transition_probability
 from waveqed.oracle import _L0, _adjoint_generator, _photon_number
 from waveqed.spectra import photon_number, spectral_density
-from waveqed.transition_operator import population_elements
+from waveqed.transition_operator import _cached_table, population_elements
 
 GAMMA = 0.05
 F, B = Direction.FORWARD, Direction.BACKWARD
@@ -99,15 +99,49 @@ def test_one_array_call_equals_the_scalar_loop(rho, k0d):
         curve = spectral_density(state, params, direction, omegas)
         loop = [spectral_density(state, params, direction, float(w)) for w in omegas]
         _assert_matches_loop(curve, loop, omegas)
-    for direction in (F, B, TOTAL):
-        curve = emission_rate(state, params, TIMES, direction)
-        loop = [emission_rate(state, params, float(t), direction) for t in TIMES]
-        _assert_matches_loop(curve, loop, TIMES)
-    for initial in STATES:
-        for final in STATES:
-            curve = transition_probability(initial, final, params, TIMES)
-            loop = [transition_probability(initial, final, params, float(t)) for t in TIMES]
-            _assert_matches_loop(curve, loop, TIMES)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(rho=densities(), k0d=SPACINGS)
+def test_scalar_rates_and_probabilities_are_the_array_call_bitwise(rho, k0d):
+    # the first pass builds every scalar table (cache misses), the second
+    # reads them back (hits); both give the bits of the array call.  Only
+    # the S-A coherence's lobe is left to 1e-14: numpy multiplies complex
+    # arrays and complex scalars with different roundings
+    params = SystemParams(GAMMA, k0d)
+    state = DickeDensity.from_matrix(rho)
+    populations = DickeDensity.from_matrix(np.diag(np.diag(rho)))
+    curves = [(state, lambda t, d=d: emission_rate(state, params, t, d)) for d in (F, B, TOTAL)]
+    curves += [(populations, lambda t, d=d: emission_rate(populations, params, t, d))
+               for d in (F, B, TOTAL)]
+    curves += [(None, lambda t, i=i, f=f: transition_probability(i, f, params, t))
+               for i in STATES for f in STATES]
+    _cached_table.cache_clear()
+    first_pass = []
+    for lookup in ("miss", "hit"):
+        before = _cached_table.cache_info()
+        for n, (rho0, curve) in enumerate(curves):
+            loop = [curve(float(t)) for t in TIMES]
+            array = curve(TIMES)
+            _assert_matches_loop(array, loop, TIMES)
+            if not (rho0 is state and state.pSA != 0):
+                assert _bits(loop) == _bits(array)
+            if lookup == "miss":
+                first_pass.append(_bits(loop))
+            else:
+                assert _bits(loop) == first_pass[n]
+        after = _cached_table.cache_info()
+        # t = 0 bypasses the cache; every other time is one table
+        held = TIMES.size - 1
+        if lookup == "miss":
+            assert after.misses - before.misses == held
+        else:
+            assert after.misses == before.misses
+            assert after.hits - before.hits == held * len(curves)
 
 
 @PROPERTY

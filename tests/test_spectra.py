@@ -303,7 +303,9 @@ def test_non_finite_omega_rejected(omega):
         photon_number(rho0, params, F, omega, math.inf)
 
 
-@pytest.mark.parametrize("omega", [1.0 + 1.0j, np.array([1.0, 1.0 + 1e-3j])])
+@pytest.mark.parametrize(
+    "omega", [1.0 + 1.0j, np.array([1.0, 1.0 + 1e-3j]), [1.0, 1.0 + 1e-3j]]
+)
 def test_complex_omega_rejected(omega):
     # abs() of a complex omega is finite, and the kernel would return the
     # real part of a complex-frequency evaluation
@@ -312,6 +314,26 @@ def test_complex_omega_rejected(omega):
         spectral_density(rho0, params, F, omega)
     with pytest.raises(ValueError, match="omega must be real"):
         photon_number(rho0, params, F, omega, math.inf)
+
+
+#: list and tuple omegas, and the arrays they must act as
+LIST_OMEGAS = [([0.9, 1.0, 1.025], [0.9, 1.0, 1.025]), ((0.9, 1, 1.025), [0.9, 1.0, 1.025]),
+               ([1, 2], [1.0, 2.0])]
+
+
+@pytest.mark.parametrize(("omega", "as_array"), LIST_OMEGAS)
+def test_spectral_density_takes_a_list_as_its_array(omega, as_array):
+    rho0, params = preset_state("eg"), _params(1.0)
+    for direction in (F, B, TOTAL):
+        expected = spectral_density(rho0, params, direction, np.array(as_array))
+        assert spectral_density(rho0, params, direction, omega).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(("omega", "as_array"), LIST_OMEGAS)
+def test_photon_number_takes_a_list_as_its_array(omega, as_array):
+    rho0, params = preset_state("s1e2"), _params(1.0)
+    expected = photon_number(rho0, params, B, np.array(as_array), math.inf)
+    assert photon_number(rho0, params, B, omega, math.inf).tobytes() == expected.tobytes()
 
 
 def test_omega_rejection_names_the_first_bad_value():

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from waveqed.cli import RunConfig
 from waveqed.core import BASIS, BASIS_INDEX, DickeState, SystemParams
 from waveqed.oracle import _adjoint_generator
 from waveqed.transition_operator import (
     TransitionOperatorState,
+    _cached_table,
+    _population_table,
     closed_form_state,
     population_elements,
 )
@@ -173,3 +176,38 @@ def test_time_rejection_names_the_first_bad_value():
     with pytest.raises(ValueError) as exc:
         population_elements(_params(1.0), t)
     assert str(exc.value) == "t must be finite and >= 0, got -2.0"
+
+
+@pytest.mark.parametrize("t", [[0.0, 2.0, 7.0], (0, 2, 7.0)])
+def test_population_elements_takes_a_list_as_its_array(t):
+    params = _params(1.0)
+    expected = population_elements(params, np.array(t, dtype=float))
+    assert population_elements(params, t).tobytes() == expected.tobytes()
+
+
+def test_scalar_tables_are_shared_read_only_and_bounded():
+    params = _params(1.0)
+    expected = population_elements(params, 1.0).tobytes()
+    # the public kernel hands out a new array each call, free to write
+    population_elements(params, 1.0)[:] = 7.0
+    assert population_elements(params, 1.0).tobytes() == expected
+    table = _population_table(params, 1.0)
+    assert table.tobytes() == expected
+    assert _population_table(params, np.float64(1.0)) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 7.0
+    # one CLI-default time grid fits, so a loop over t per curve hits
+    assert _cached_table.cache_parameters()["maxsize"] >= RunConfig.t_points
+
+
+def test_uncached_times_keep_their_bits():
+    params = _params(1.0)
+    # +0.0 and -0.0 are one cache key but differ in the sign of the feeds
+    _population_table(params, 0.0)
+    minus_zero = _population_table(params, -0.0)
+    assert minus_zero.tobytes() == population_elements(params, -0.0).tobytes()
+    assert math.copysign(1.0, minus_zero[IS, IE]) == -1.0
+    for t in (np.float32(1.5), 2, np.int64(3)):
+        table = _population_table(params, t)
+        assert table.flags.writeable
+        assert table.tobytes() == population_elements(params, t).tobytes()
