@@ -34,6 +34,7 @@ from .core import (
     Direction,
     SystemParams,
     preset_state,
+    real_values,
 )
 from .observables import emission_rate, transition_probability
 from .spectra import single_qubit_baseline, spectral_density
@@ -80,10 +81,8 @@ class RunConfig:
         for name in ("gamma_ratio", "k0d", "omega_min", "omega_max", "t_max",
                      "k0d_start", "k0d_stop"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(
-                    f"{name.replace('_', '-')} must be finite, got {value}"
-                )
+            if value is not None:
+                real_values(name.replace("_", "-"), value)
         if self.gamma_ratio <= 0:
             raise ValueError(f"gamma-ratio must be positive, got {self.gamma_ratio}")
         if self.omega_points < 2 or self.t_points < 2:

@@ -94,6 +94,49 @@ def phase_factors(k0d: float) -> tuple[float, float]:
     return c, s
 
 
+_REAL_SCALARS = (float, int, np.floating, np.integer, np.bool_)  # bool is an int
+_REAL_KINDS = "biuf"  # dtype kinds: bool, signed, unsigned, float
+
+
+def real_values(name: str, values, lower: float | None = None, infinite: bool = False):
+    """The one gate for a real argument such as a time or a frequency.
+
+    A list or tuple becomes a float64 array; a real number or real array
+    comes back as it is (a float stays a float, an array is not copied).
+    ValueError names the argument and refuses anything not real (complex,
+    str, None) or its first entry that is NaN, -inf, below lower, or +inf
+    unless infinite admits it.
+    """
+    if isinstance(values, (list, tuple)):
+        values = np.asarray(values)
+        if values.dtype.kind in _REAL_KINDS:
+            values = values.astype(float)
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"{name} must be real, got a {values.dtype} array")
+    elif not isinstance(values, _REAL_SCALARS):
+        raise ValueError(f"{name} must be real, got {values!r}")
+    # NaN fails every comparison
+    if lower is None:
+        ok = values > -math.inf
+    else:
+        ok = values >= lower
+    if not infinite:
+        ok = ok & (values < math.inf)
+    if not isinstance(values, np.ndarray):
+        if ok:
+            return values
+        bad = values
+    elif ok.all():
+        return values
+    else:
+        bad = values[~ok][0]  # one entry, not a 1,000-point grid
+    rule = "finite" if lower is None else f"finite and >= {lower:g}"
+    if infinite:  # only the bound can be broken
+        rule = f">= {lower:g}"
+    raise ValueError(f"{name} must be {rule}, got {bad}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical configuration of the two-qubit + waveguide system.
@@ -131,8 +174,7 @@ class SystemParams:
             raise ValueError(
                 f"gamma_ratio must be finite and > 0, got {self.gamma_ratio}"
             )
-        if not (math.isfinite(self.k0d) and self.k0d >= 0):
-            raise ValueError(f"k0d must be finite and >= 0, got {self.k0d}")
+        real_values("k0d", self.k0d, lower=0.0)
         # Python floats, so scalar arithmetic never runs on numpy scalars
         ratio, k0d = float(self.gamma_ratio), float(self.k0d)
         g = ratio * OMEGA
@@ -150,37 +192,6 @@ class SystemParams:
             gamma_plus=gamma_plus, gamma_minus=gamma_minus,
             omega_plus=omega_plus, omega_minus=2.0 * OMEGA - omega_plus,
         )
-
-
-def as_array(values):
-    """A list or tuple as a numpy array, so that it takes the array path.
-
-    Real entries become float64, as np.asarray(values, dtype=float)
-    makes them; a complex entry keeps the complex dtype, for the caller
-    to reject by name.  Anything else passes through unchanged.
-    """
-    if not isinstance(values, (list, tuple)):
-        return values
-    values = np.asarray(values)
-    return values if values.dtype.kind == "c" else values.astype(float)
-
-
-def everywhere(mask) -> bool:
-    """True when a comparison holds for a scalar or for every array entry.
-
-    Scalars skip the numpy reduction, which costs more than a scalar
-    call of some closed forms spends on its arithmetic.
-    """
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def first_failure(values, mask):
-    """The first entry of values where mask is False, to name in an error.
-
-    Keeps a rejection of a 1,000-point grid to one value instead of the
-    whole array.
-    """
-    return np.ravel(values)[~np.ravel(mask)][0]
 
 
 #: (field, row, column) of each stored DickeDensity entry in the (G, E, S, A)

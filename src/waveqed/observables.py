@@ -29,7 +29,7 @@ from .core import (
     DickeState,
     Direction,
     SystemParams,
-    as_array,
+    real_values,
 )
 from .transition_operator import _population_table
 
@@ -71,7 +71,7 @@ def emission_rate(rho0: DickeDensity, params: SystemParams, t, direction=TOTAL):
     """
     if direction is not TOTAL and not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
-    t = as_array(t)
+    t = real_values("t", t, lower=0.0)
     g, s = params.gamma, params.sin_k0d
     pops = _population_table(params, t)
     occ_e = pops[_E, _E] * rho0.pEE
@@ -81,7 +81,8 @@ def emission_rate(rho0: DickeDensity, params: SystemParams, t, direction=TOTAL):
     # coefficient of |A><S| inside <P_AS(t)>; the lobe enters the forward
     # rate with -sin k0d and the backward one with +sin k0d
     coh_as = np.exp(-g * (1.0 + 1j * s) * t)
-    lobe = g * s * np.imag(coh_as * rho0.pSA)
+    # real arithmetic: numpy rounds complex products of arrays and scalars apart
+    lobe = g * s * (coh_as.real * rho0.pSA.imag + coh_as.imag * rho0.pSA.real)
     if direction is TOTAL:
         return (w - lobe) + (w + lobe)
     return w - direction.sign * lobe

@@ -58,8 +58,8 @@ from .core import (
     DickeDensity,
     Direction,
     SystemParams,
-    first_failure,
     phase_factors,
+    real_values,
 )
 from .transition_operator import TransitionOperatorState
 
@@ -182,12 +182,9 @@ def integrate_transition_odes(
     and Phi(t) = diag(exp(l0 t)) Phi~(t) is exact.  Returns one
     TransitionOperatorState per grid time.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = np.asarray(real_values("t_grid times", t_grid, lower=0.0), dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1D sequence of times")
-    ok = np.isfinite(t) & (t >= 0.0)
-    if not ok.all():
-        raise ValueError(f"t_grid times must be finite and >= 0, got {first_failure(t, ok)}")
     if np.any(np.diff(t) < 0.0):
         raise ValueError("t_grid must be sorted in increasing order")
     if params.gamma * t[-1] > config.t_max * (1.0 + 1e-12):
@@ -228,6 +225,8 @@ def _emission_vectors(params: SystemParams, direction: Direction) -> tuple:
     i.e. vec(X) -> vec(X sum_m e^{-i k x_m} s_m).  The phase is snapped with
     phase_factors, like the couplings, so dark lines come out exactly dark.
     """
+    if not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
     c, s = phase_factors(params.k0d)
     lowering = _SM1 + complex(c, -direction.sign * s) * _SM2  # sum_m e^{-i k x_m} s_m
     return lowering.conj().T.ravel(), np.kron(np.eye(4), lowering.T)
@@ -286,10 +285,7 @@ def quadrature_spectrum(
     exponential, and OracleError names Gamma_min/Gamma and T_eff.  omega
     may be a scalar or an array.
     """
-    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-    finite = np.isfinite(omegas)
-    if not finite.all():
-        raise ValueError(f"omega must be finite, got {first_failure(omegas, finite)}")
+    omegas = np.atleast_1d(np.asarray(real_values("omega", omega), dtype=float))
     t_eff = max(config.T / params.gamma, 2.0 * math.log(1e6) / _gamma_min(params))
     values = _photon_number(rho0, params, direction, omegas, t_eff)
     return float(values[0]) if np.isscalar(omega) else values

@@ -17,6 +17,7 @@ omega may be an array: the t -> infinity limit is rational in omega, so
 spectral_density returns a whole spectrum from one call.  Finite t
 needs a scalar omega, because the finite-t kernels branch on the size
 of their arguments; t is always one scalar.
+Every omega, t and half_width passes core's one gate, real_values.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .core import (
     DickeState,
     Direction,
     SystemParams,
-    as_array,
-    everywhere,
-    first_failure,
+    real_values,
 )
 
 
@@ -68,19 +67,12 @@ def photon_number(
     """
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
-    if np.ndim(t) != 0:
+    t = real_values("t", t, lower=0.0, infinite=True)
+    omega = real_values("omega", omega)
+    # past the gate a non-scalar is an array, and np.ndim costs more than the gate
+    if isinstance(t, np.ndarray) and t.ndim:
         raise ValueError("photon number needs a scalar t; call it once per time")
-    if not t >= 0.0:
-        raise ValueError(f"photon number is defined for t >= 0, got {t}")
-    omega = as_array(omega)
-    if isinstance(omega, (complex, np.complexfloating)):
-        raise ValueError(f"omega must be real, got {omega}")
-    if isinstance(omega, np.ndarray) and omega.dtype.kind == "c":
-        raise ValueError(f"omega must be real, got a {omega.dtype} array")
-    finite = abs(omega) < INF  # False for NaN too
-    if not everywhere(finite):
-        raise ValueError(f"omega must be finite, got {first_failure(omega, finite)}")
-    if t != INF and np.ndim(omega) != 0:
+    if t != INF and isinstance(omega, np.ndarray) and omega.ndim:
         raise ValueError("finite t needs a scalar omega; only t = inf takes an array")
     g, s, gp, gm = params.gamma, params.sin_k0d, params.gamma_plus, params.gamma_minus
     a = gp / g  # 1 + cos k0d, without cancellation
@@ -124,6 +116,8 @@ def spectral_density(rho0: DickeDensity, params: SystemParams, direction, omega)
     if direction is TOTAL:
         forward = spectral_density(rho0, params, Direction.FORWARD, omega)
         return forward + spectral_density(rho0, params, Direction.BACKWARD, omega)
+    if not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction or TOTAL, got {direction!r}")
     return photon_number(rho0, params, direction, omega, INF)
 
 
@@ -136,10 +130,10 @@ def single_qubit_baseline(params: SystemParams, omega) -> tuple:
     Both take scalars or arrays.
     """
     g = params.gamma
-    value = g / ((omega - OMEGA) ** 2 + 0.25 * g * g)
+    value = g / ((real_values("omega", omega) - OMEGA) ** 2 + 0.25 * g * g)
 
     def rate(t):
-        return 0.5 * g * np.exp(-g * t)
+        return 0.5 * g * np.exp(-g * real_values("t", t, lower=0.0))
 
     return value, rate
 
@@ -159,8 +153,7 @@ def line_tail_area(
     """
     if state not in (DickeState.S, DickeState.A):
         raise ValueError(f"only the S and A lines are single Lorentzians, got {state}")
-    if not half_width >= 0.0:
-        raise ValueError(f"half_width must be >= 0, got {half_width}")
+    half_width = real_values("half_width", half_width, lower=0.0, infinite=True)
     g_line = params.gamma_plus if state is DickeState.S else params.gamma_minus
     if g_line == 0.0:
         return 0.0
@@ -194,12 +187,8 @@ def peak_analysis(samples) -> PeakAnalysis:
     samples = list(samples)
     if len(samples) < 3:
         raise ValueError(f"peak analysis needs at least 3 samples, got {len(samples)}")
-    x = np.array([s.omega for s in samples])
-    v = np.array([s.value for s in samples])
-    for name, arr in (("omega", x), ("value", v)):
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ValueError(f"sample {name} must be finite, got {first_failure(arr, finite)}")
+    x = real_values("sample omega", [s.omega for s in samples])
+    v = real_values("sample value", [s.value for s in samples])
     if not np.all(np.diff(x) > 0.0):
         raise ValueError("samples must have strictly increasing omega")
     maxima = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1

@@ -19,6 +19,7 @@ from waveqed.core import (
     SystemParams,
     phase_factors,
     preset_state,
+    real_values,
 )
 
 GAMMA = 0.05
@@ -236,3 +237,39 @@ def test_preset_entries_match_their_superpositions():
 def test_unknown_preset_lists_valid_names():
     with pytest.raises(ValueError, match="s1s2"):
         preset_state("nope")
+
+
+def test_real_values_passes_valid_input_unchanged():
+    # the table cache dispatches on the type of t, so no type may change
+    for value in (2.5, np.float64(2.5), np.float32(2.5), 3, np.int64(3), True, -0.0):
+        out = real_values("t", value, lower=0.0)
+        assert out is value
+    grid = np.linspace(0.0, 1.0, 5)
+    assert real_values("t", grid, lower=0.0) is grid
+    assert real_values("t", math.inf, lower=0.0, infinite=True) == math.inf
+    for values in ([0, 1, 2.5], (0, 1, 2.5), [True, 2]):
+        out = real_values("omega", values)
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("t", -2.0, 0.0), "t must be finite and >= 0, got -2.0"),
+        (("t", np.array([1.0, math.inf, -1.0]), 0.0), "t must be finite and >= 0, got inf"),
+        (("omega", [1.0, math.nan, math.inf]), "omega must be finite, got nan"),
+        (("omega", -math.inf), "omega must be finite, got -inf"),
+        (("t", math.nan, 0.0, True), "t must be >= 0, got nan"),
+        (("t", -math.inf, 0.0, True), "t must be >= 0, got -inf"),
+        (("omega", 1.0 + 0.0j), "omega must be real, got (1+0j)"),
+        (("omega", [1.0, 2.0j]), "omega must be real, got a complex128 array"),
+        (("omega", "1"), "omega must be real, got '1'"),
+        (("omega", None), "omega must be real, got None"),
+        (("omega", [1.0, None]), "omega must be real, got a object array"),
+    ],
+)
+def test_real_values_names_the_argument_and_its_first_bad_entry(args, message):
+    with pytest.raises(ValueError) as exc:
+        real_values(*args)
+    assert str(exc.value) == message

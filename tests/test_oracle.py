@@ -16,6 +16,7 @@ import pytest
 from waveqed.core import (
     BASIS,
     PRESET_NAMES,
+    TOTAL,
     Direction,
     SystemParams,
     preset_state,
@@ -297,6 +298,19 @@ def test_spectrum_names_a_non_finite_frequency():
     for omega, bad in ((math.nan, "nan"), (np.array([1.0, math.inf, math.nan]), "inf")):
         with pytest.raises(ValueError, match=f"omega must be finite, got {bad}$"):
             quadrature_spectrum(preset_state("eg"), params, Direction.FORWARD, omega)
+
+
+@pytest.mark.parametrize("direction", [TOTAL, "Forward", None])
+def test_oracle_names_a_bad_direction(direction):
+    # TOTAL used to fail with an AttributeError on its missing sign
+    params, rho0 = _params(1.0), preset_state("eg")
+    message = f"direction must be a Direction, got {direction!r}"
+    with pytest.raises(ValueError) as exc:
+        quadrature_spectrum(rho0, params, direction, 1.0)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        quadrature_rates(rho0, params, direction, QuadratureConfig(n_steps=64))
+    assert str(exc.value) == message
 
 
 def test_spectrum_is_finite_or_refused_at_every_distance_from_dark():

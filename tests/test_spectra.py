@@ -280,6 +280,13 @@ def test_detuning_difference_is_the_collective_splitting():
         )
 
 
+@pytest.mark.parametrize("direction", ["x", None])
+def test_spectral_density_names_a_bad_direction(direction):
+    with pytest.raises(ValueError) as exc:
+        spectral_density(preset_state("eg"), _params(1.0), direction, 1.0)
+    assert str(exc.value) == f"direction must be a Direction or TOTAL, got {direction!r}"
+
+
 def test_photon_number_argument_validation():
     params = _params(1.0)
     rho0 = preset_state("E")
