@@ -98,14 +98,16 @@ _REAL_SCALARS = (float, int, np.floating, np.integer, np.bool_)  # bool is an in
 _REAL_KINDS = "biuf"  # dtype kinds: bool, signed, unsigned, float
 
 
-def real_values(name: str, values, lower: float | None = None, infinite: bool = False):
+def real_values(name: str, values, lower: float | None = None, infinite: bool = False,
+                strict: bool = False, scalar: bool = False):
     """The one gate for a real argument such as a time or a frequency.
 
     A list or tuple becomes a float64 array; a real number or real array
     comes back as it is (a float stays a float, an array is not copied).
     ValueError names the argument and refuses anything not real (complex,
-    str, None) or its first entry that is NaN, -inf, below lower, or +inf
-    unless infinite admits it.
+    str, None) or its first entry that is NaN, -inf, below lower (at
+    lower too if strict), or +inf unless infinite admits it; then, if
+    scalar, an array that is not 0-d.
     """
     if isinstance(values, (list, tuple)):
         values = np.asarray(values)
@@ -119,6 +121,8 @@ def real_values(name: str, values, lower: float | None = None, infinite: bool = 
     # NaN fails every comparison
     if lower is None:
         ok = values > -math.inf
+    elif strict:
+        ok = values > lower
     else:
         ok = values >= lower
     if not infinite:
@@ -128,12 +132,14 @@ def real_values(name: str, values, lower: float | None = None, infinite: bool = 
             return values
         bad = values
     elif ok.all():
+        if scalar and values.ndim:
+            raise ValueError(f"{name} must be a scalar, got shape {values.shape}")
         return values
     else:
         bad = values[~ok][0]  # one entry, not a 1,000-point grid
-    rule = "finite" if lower is None else f"finite and >= {lower:g}"
+    rule = "finite" if lower is None else f"finite and {'>' if strict else '>='} {lower:g}"
     if infinite:  # only the bound can be broken
-        rule = f">= {lower:g}"
+        rule = rule.removeprefix("finite and ")
     raise ValueError(f"{name} must be {rule}, got {bad}")
 
 
@@ -170,11 +176,8 @@ class SystemParams:
     omega_minus: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma_ratio) and self.gamma_ratio > 0):
-            raise ValueError(
-                f"gamma_ratio must be finite and > 0, got {self.gamma_ratio}"
-            )
-        real_values("k0d", self.k0d, lower=0.0)
+        real_values("gamma_ratio", self.gamma_ratio, lower=0.0, strict=True, scalar=True)
+        real_values("k0d", self.k0d, lower=0.0, scalar=True)
         # Python floats, so scalar arithmetic never runs on numpy scalars
         ratio, k0d = float(self.gamma_ratio), float(self.k0d)
         g = ratio * OMEGA
@@ -218,8 +221,9 @@ class DickeDensity:
     drift.
 
     Construction raises ValueError naming the first broken rule, in
-    this order: every entry finite, trace = 1 within 1e-8, positive
-    semidefinite within 1e-10, populations in [0, 1].
+    this order: every entry finite (a population real, by the gate),
+    trace = 1 within 1e-8, positive semidefinite within 1e-10,
+    populations in [0, 1].
     """
 
     pEE: float = 0.0
@@ -236,7 +240,9 @@ class DickeDensity:
     def __post_init__(self) -> None:
         for name, _i, _j in _ENTRIES:
             v = getattr(self, name)
-            if not cmath.isfinite(v):
+            if name in _POPULATIONS:
+                real_values(f"density matrix entry {name}", v)
+            elif not cmath.isfinite(v):
                 raise ValueError(f"density matrix entry {name} must be finite, got {v!r}")
         m = self.matrix()
         trace = m.trace()
@@ -315,7 +321,7 @@ def preset_state(name: str) -> DickeDensity:
     """Initial density matrix for one of the named product/Dicke states."""
     try:
         amps = _PRESET_AMPLITUDES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         valid = ", ".join(PRESET_NAMES)
         raise ValueError(f"unknown preset state {name!r}; valid names: {valid}") from None
     v = np.array(amps, dtype=complex)

@@ -98,17 +98,13 @@ class OracleError(RuntimeError):
     """A numerical cross-check could not produce a trustworthy number."""
 
 
-def _require_finite_positive(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class OdeConfig:
     """Integrator settings for the transition-operator equations.
 
     t_max is the allowed horizon in units of 1/Gamma; asking for a grid
-    past it is rejected rather than silently extrapolated.
+    past it is rejected rather than silently extrapolated.  rel_tol,
+    abs_tol and t_max are each one finite number > 0.
     """
 
     method: str = "RK45"
@@ -119,7 +115,7 @@ class OdeConfig:
     def __post_init__(self) -> None:
         # solve_ivp does not return under rel_tol = inf
         for name in ("rel_tol", "abs_tol", "t_max"):
-            _require_finite_positive(name, getattr(self, name))
+            real_values(name, getattr(self, name), lower=0.0, strict=True, scalar=True)
 
 
 @dataclass(frozen=True)
@@ -127,14 +123,15 @@ class QuadratureConfig:
     """Horizons of the spectrum and rate oracles.
 
     T (units 1/Gamma) is the minimum horizon of quadrature_spectrum and
-    the end of the rates grid; n_steps sets only that grid.
+    the end of the rates grid; n_steps sets only that grid.  T is one
+    finite number > 0, n_steps an integer >= 64.
     """
 
     T: float = 40.0
     n_steps: int = 4096
 
     def __post_init__(self) -> None:
-        _require_finite_positive("quadrature horizon T", self.T)
+        real_values("quadrature horizon T", self.T, lower=0.0, strict=True, scalar=True)
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 64):
             raise ValueError(f"n_steps must be an integer >= 64, got {self.n_steps!r}")
 
@@ -283,12 +280,12 @@ def quadrature_spectrum(
     reached once every bright channel has rung down to ~1e-6.  Within
     about 1e-5 rad of n*pi that horizon is too long for the block
     exponential, and OracleError names Gamma_min/Gamma and T_eff.  omega
-    may be a scalar or an array.
+    may be a scalar or an array; the result has its shape.
     """
-    omegas = np.atleast_1d(np.asarray(real_values("omega", omega), dtype=float))
+    omegas = np.asarray(real_values("omega", omega), dtype=float)
     t_eff = max(config.T / params.gamma, 2.0 * math.log(1e6) / _gamma_min(params))
-    values = _photon_number(rho0, params, direction, omegas, t_eff)
-    return float(values[0]) if np.isscalar(omega) else values
+    values = _photon_number(rho0, params, direction, omegas.ravel(), t_eff)
+    return float(values[0]) if np.isscalar(omega) else values.reshape(omegas.shape)
 
 
 def quadrature_rates(

@@ -58,22 +58,17 @@ def photon_number(
 ):
     """Dimensionless occupancy of the (direction, omega) mode at time t.
 
-    t is one scalar.  t = math.inf is allowed and gives the spectral
-    density, for a scalar omega or an array of them; finite t needs a
-    scalar omega.  Weights whose channel factor is exactly zero are
-    skipped, which keeps the dark-point geometries (cos k0d = +-1) free
-    of 0 * divergent-limit products: the stable integrals never see the
-    degenerate argument.
+    t is one scalar; t = math.inf gives the spectral density, for a
+    scalar omega or an array of them.  The gate refuses any other array
+    t or omega: "t must be a scalar, got shape (2,)".  Weights whose
+    channel factor is exactly zero are skipped, which keeps the
+    dark-point geometries (cos k0d = +-1) free of 0 * divergent-limit
+    products: the stable integrals never see the degenerate argument.
     """
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
-    t = real_values("t", t, lower=0.0, infinite=True)
-    omega = real_values("omega", omega)
-    # past the gate a non-scalar is an array, and np.ndim costs more than the gate
-    if isinstance(t, np.ndarray) and t.ndim:
-        raise ValueError("photon number needs a scalar t; call it once per time")
-    if t != INF and isinstance(omega, np.ndarray) and omega.ndim:
-        raise ValueError("finite t needs a scalar omega; only t = inf takes an array")
+    t = real_values("t", t, lower=0.0, infinite=True, scalar=True)
+    omega = real_values("omega", omega, scalar=t != INF)
     g, s, gp, gm = params.gamma, params.sin_k0d, params.gamma_plus, params.gamma_minus
     a = gp / g  # 1 + cos k0d, without cancellation
     b = gm / g  # 1 - cos k0d
@@ -153,7 +148,7 @@ def line_tail_area(
     """
     if state not in (DickeState.S, DickeState.A):
         raise ValueError(f"only the S and A lines are single Lorentzians, got {state}")
-    half_width = real_values("half_width", half_width, lower=0.0, infinite=True)
+    half_width = real_values("half_width", half_width, lower=0.0, infinite=True, scalar=True)
     g_line = params.gamma_plus if state is DickeState.S else params.gamma_minus
     if g_line == 0.0:
         return 0.0

@@ -140,10 +140,8 @@ class TransitionOperatorState:
 
 
 def closed_form_state(params: SystemParams, t: float) -> TransitionOperatorState:
-    """Exact coefficients at one scalar time t, packaged as a state object."""
-    t = real_values("t", t, lower=0.0)
-    if isinstance(t, np.ndarray) and t.ndim:
-        raise ValueError(f"t must be a scalar for closed_form_state, got shape {np.shape(t)}")
+    """Exact coefficients at one scalar time t; the gate refuses an array t."""
+    t = real_values("t", t, lower=0.0, scalar=True)
     g, s, gp, gm = params.gamma, params.sin_k0d, params.gamma_plus, params.gamma_minus
     z_ae = 1j * params.omega_plus + 0.5 * gm + g
     z_se = 1j * params.omega_minus + 0.5 * gp + g

@@ -189,6 +189,9 @@ def test_density_validation_trace_and_population_range():
         fields = {"pSS": 0.5, "pAA": 0.5, field: value}
         with pytest.raises(ValueError, match=f"entry {field} must be finite"):
             DickeDensity(**fields)
+    # a population goes through the real-argument gate: complex is refused by name
+    with pytest.raises(ValueError, match=r"entry pGG must be real, got \(0\.5\+0j\)"):
+        DickeDensity(pEE=0.5 + 0j, pGG=0.5 + 0j)
 
 
 def test_from_matrix_names_the_violated_rule():
@@ -235,8 +238,9 @@ def test_preset_entries_match_their_superpositions():
 
 
 def test_unknown_preset_lists_valid_names():
-    with pytest.raises(ValueError, match="s1s2"):
-        preset_state("nope")
+    for name in ("nope", []):  # an unhashable name is unknown too
+        with pytest.raises(ValueError, match="s1s2"):
+            preset_state(name)
 
 
 def test_real_values_passes_valid_input_unchanged():

@@ -259,6 +259,14 @@ def test_quadrature_spectrum_array_matches_scalars():
         assert quadrature_spectrum(
             rho0, params, Direction.BACKWARD, float(w), cfg
         ) == pytest.approx(v, rel=1e-14)
+    # the result has omega's shape, as spectral_density's does
+    square = omegas[[[0, 1], [2, 0]]]
+    grid = quadrature_spectrum(rho0, params, Direction.BACKWARD, square, cfg)
+    assert grid.shape == (2, 2)
+    assert grid.ravel() == pytest.approx(vec[[0, 1, 2, 0]], rel=1e-14)
+    point = quadrature_spectrum(rho0, params, Direction.BACKWARD, np.array(1.0), cfg)
+    assert point.shape == () and point == pytest.approx(vec[1], rel=1e-14)
+    assert type(quadrature_spectrum(rho0, params, Direction.BACKWARD, 1.0, cfg)) is float
 
 
 def test_quadrature_rates_track_closed_rates():

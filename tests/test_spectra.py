@@ -367,13 +367,13 @@ def test_total_spectrum_is_forward_plus_backward(name, k0d):
 
 
 def test_finite_time_photon_number_needs_a_scalar_omega():
-    with pytest.raises(ValueError, match="scalar omega"):
+    with pytest.raises(ValueError, match=r"omega must be a scalar, got shape \(2,\)"):
         photon_number(preset_state("E"), _params(1.0), F, np.array([0.99, 1.01]), 20.0)
 
 
 @pytest.mark.parametrize("t", [np.array([1.0, 2.0]), np.array([math.inf]), np.array([[5.0]])])
 def test_photon_number_needs_a_scalar_time(t):
-    with pytest.raises(ValueError, match="scalar t"):
+    with pytest.raises(ValueError, match="t must be a scalar, got shape"):
         photon_number(preset_state("E"), _params(1.3), F, 1.01, t)
 
 

@@ -6,9 +6,11 @@ hashed as `tobytes` (arrays, numpy scalars) or `repr` (Python floats), in a
 fixed order.  The inputs are fixed: the 9 presets plus 3 fixed densities (one
 with a complex S-A coherence), 12 spacings uniform in [0, 4 pi] plus 24 at
 n pi +- 10^-k, and times as Python floats, as np.float64 and as one array,
-t = +-0 included.  The `refusals` group hashes the message of every case of
-tests/test_input_gate.py (this checkout's table, run against SRC_DIR), so it
-moves with any refusal text.  Diff two trees' output; takes a few seconds.
+t = +-0 included.  The `SystemParams` group holds the fields construction
+derives at every spacing; `quadrature_spectrum` (the oracle) runs at three
+spacings away from n pi, on scalar and 1-D omegas.  The `refusals` group
+hashes the message of every case of tests/test_input_gate.py (this
+checkout's table, run against SRC_DIR), so it moves with any refusal text.  Diff two trees' output; takes a few seconds.
 """
 
 import hashlib
@@ -39,6 +41,7 @@ from waveqed import (  # noqa: E402
     spectral_density,
     transition_probability,
 )
+from waveqed.oracle import QuadratureConfig, quadrature_spectrum  # noqa: E402
 
 GAMMA = 0.05
 F, B = Direction.FORWARD, Direction.BACKWARD
@@ -58,6 +61,12 @@ SCALAR_TIMES = [u for t in TIMES for u in (t, t, np.float64(t))]
 OMEGAS = 1.0 + GAMMA * np.linspace(-10.0, 10.0, 41)
 FINITE_OMEGAS = [1.0 - GAMMA, 1.0, 1.0 + 0.3 * GAMMA]
 FINITE_GAMMA_T = [0.0, 0.7, 4.0]
+DERIVED = ("gamma", "sin_k0d", "gamma_plus", "gamma_minus", "omega_plus", "omega_minus")
+ORACLE_OMEGAS = 1.0 + GAMMA * np.linspace(-3.0, 3.0, 7)
+#: three scalar omegas and one array at each of three spacings away from n pi
+ORACLE_CALLS = [(SystemParams(GAMMA, k0d), w) for k0d in (0.5 * math.pi, 1.0, 2.3)
+                for w in (*ORACLE_OMEGAS[::3].tolist(), ORACLE_OMEGAS)]
+ORACLE_CONFIG = QuadratureConfig(T=20.0, n_steps=64)
 
 
 def _bytes(value) -> bytes:
@@ -92,6 +101,7 @@ def _refusals():
 
 
 def main() -> None:
+    digest("SystemParams", (getattr(p, f) for p in PARAMS for f in DERIVED))
     digest("population_elements scalar",
            (population_elements(p, t) for p in PARAMS for t in SCALAR_TIMES))
     digest("population_elements array", (population_elements(p, T_ARRAY) for p in PARAMS))
@@ -122,6 +132,11 @@ def main() -> None:
     digest("line_tail_area",
            (line_tail_area(p, hw, s) for p in PARAMS for s in (DickeState.S, DickeState.A)
             for hw in (0.0, 2.5 * GAMMA, 20.0 * GAMMA, np.float64(50.0 * GAMMA), math.inf)))
+    for name in ("S", "eg", "coherent"):
+        for d in (F, B):
+            digest(f"quadrature_spectrum {name} {d.value}",
+                   (quadrature_spectrum(STATES[name], p, d, w, ORACLE_CONFIG)
+                    for p, w in ORACLE_CALLS))
     digest("refusals", _refusals())
 
 
